@@ -65,7 +65,7 @@ Result run(const PolicySet& policy, bool admission, bool batch) {
     GangParams params;
     params.quantum = 2 * kMinute;
     params.pager.policy = policy;
-    params.admission_control = admission;
+    params.sched_policy = admission ? "admission" : "matrix";
     GangScheduler scheduler(cluster, params);
     add(scheduler, "long-LU", long_spec, 1.0);
     add(scheduler, "short-IS", short_spec, 0.3);

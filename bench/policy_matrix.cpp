@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "gang/policy_registry.hpp"
-#include "harness/open_arrival.hpp"
+#include "harness/runner.hpp"
 #include "metrics/table.hpp"
 
 namespace {
@@ -169,8 +169,8 @@ int main(int argc, char** argv) {
       // Consolidation migration is dfrs's policy-visible primitive; the
       // others never ask for it.
       config.auto_migrate = policy == "dfrs";
-      const RunOutcome first = run_open(config);
-      const RunOutcome second = run_open(config);
+      const RunOutcome first = run_config(config);
+      const RunOutcome second = run_config(config);
 
       Row row;
       row.scenario = scenario.name;

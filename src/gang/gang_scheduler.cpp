@@ -10,14 +10,7 @@ namespace apsim {
 
 GangScheduler::GangScheduler(Cluster& cluster, GangParams params)
     : cluster_(cluster), params_(std::move(params)), matrix_(cluster.size()) {
-  // The legacy admission fields stay authoritative: admission_control
-  // upgrades the default policy, admission_margin seeds the shared options.
-  params_.policy_opts.admission_margin = params_.admission_margin;
-  std::string policy_name = params_.sched_policy;
-  if (policy_name == "matrix" && params_.admission_control) {
-    policy_name = "admission";
-  }
-  policy_ = make_sched_policy(policy_name);
+  policy_ = make_sched_policy(params_.sched_policy);
   policy_->bind(*this);
   pagers_.reserve(static_cast<std::size_t>(cluster.size()));
   for (int n = 0; n < cluster.size(); ++n) {

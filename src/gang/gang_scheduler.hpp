@@ -69,24 +69,18 @@ struct GangParams {
   /// ws_size API argument; otherwise the kernel estimate is used.
   bool pass_ws_hint = false;
 
-  /// Memory-aware admission control (the Batat & Feitelson alternative the
-  /// paper's related work discusses): a job joins the timesharing rotation
-  /// only while the declared working sets of all admitted jobs fit within
-  /// admission_margin of usable memory on every node it uses; otherwise it
-  /// waits for a running job to finish. Trades responsiveness for zero
-  /// switch paging — the trade-off adaptive paging avoids.
-  bool admission_control = false;
-  double admission_margin = 0.9;
-
   /// Scheduler policy, resolved through policy_registry.hpp ("matrix",
-  /// "admission", "backfill", "gang-edf", "dfrs", ...). For backward
-  /// compatibility, admission_control=true upgrades the default "matrix" to
-  /// "admission"; an explicit non-matrix name wins over the legacy flag.
+  /// "admission", "backfill", "gang-edf", "dfrs", ...). "admission" is the
+  /// memory-aware admission control the paper's related work discusses
+  /// (Batat & Feitelson): a job joins the timesharing rotation only while
+  /// the declared working sets of all admitted jobs fit within
+  /// policy_opts.admission_margin of usable memory on every node it uses;
+  /// otherwise it waits for a running job to finish. It trades
+  /// responsiveness for zero switch paging — the trade-off adaptive paging
+  /// avoids.
   std::string sched_policy = "matrix";
 
-  /// Tunables shared by the registered policies. admission_margin above is
-  /// the authoritative legacy field: the engine copies it into
-  /// policy_opts.admission_margin on construction.
+  /// Tunables shared by the registered policies.
   SchedPolicyOptions policy_opts;
 
   /// Per-node adaptive pager configuration (incl. the PolicySet).

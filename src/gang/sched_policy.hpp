@@ -20,8 +20,7 @@
 namespace apsim {
 
 /// Tunables shared by the registered policies. GangParams carries one of
-/// these; the legacy GangParams::admission_margin field remains the
-/// authoritative source for admission_margin (the engine copies it in).
+/// these.
 struct SchedPolicyOptions {
   /// "admission": fraction of usable memory the declared working sets of
   /// admitted jobs may fill per node.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "control/controller.hpp"
+#include "gang/gang_scheduler.hpp"
 #include "gang/policy_registry.hpp"
 #include "mem/reclaim_registry.hpp"
 #include "workloads/generator.hpp"
@@ -170,6 +171,21 @@ void ExperimentConfig::validate() const {
     }
     if (batch_mode) fail("open arrivals have no batch baseline mode");
   }
+  // Checkpointing and the control plane bind to a GangScheduler, which the
+  // batch baseline lacks. An open stream submits jobs the checkpoint state
+  // (sized at start()) does not cover, and both tickers stop for good the
+  // first time every job has finished: before the first arrival, or in any
+  // idle gap.
+  const char* unsupported_mode = batch_mode                   ? "batch_mode"
+                                 : arrival_process != "none" ? "open arrivals"
+                                                             : nullptr;
+  if (unsupported_mode && checkpoint_interval > 0) {
+    fail(std::string("checkpoint_interval is not supported with ") +
+         unsupported_mode);
+  }
+  if (unsupported_mode && autotune) {
+    fail(std::string("autotune is not supported with ") + unsupported_mode);
+  }
   if (!is_controller(autotune_controller)) {
     fail("unknown autotune_controller '" + autotune_controller + "'; " +
          controller_names_hint());
@@ -250,6 +266,28 @@ NodeParams ExperimentConfig::make_node_params() const {
     node.disk.num_blocks = node.swap_slots * 2;
   }
   return node;
+}
+
+GangParams ExperimentConfig::make_gang_params() const {
+  validate();
+  GangParams params;
+  params.quantum = quantum;
+  params.bg_start_frac = bg_start_frac;
+  params.pass_ws_hint = pass_ws_hint;
+  params.pager.policy = policy;
+  params.pager.reclaim_policy = reclaim_policy;
+  params.sched_policy = sched_policy;
+  params.policy_opts.dfrs_mem_frac = dfrs_mem_frac;
+  params.policy_opts.dfrs_max_share = dfrs_max_share;
+  params.policy_opts.auto_migrate = auto_migrate;
+  if (switch_watchdog > 0) {
+    params.switch_watchdog = switch_watchdog;
+  } else if (switch_watchdog == 0 && faults.disturbs_control_plane()) {
+    // Auto mode: the control plane is under attack, so arm the watchdog;
+    // undisturbed runs keep it off and schedule no extra events.
+    params.switch_watchdog = 50 * kMillisecond;
+  }
+  return params;
 }
 
 }  // namespace apsim

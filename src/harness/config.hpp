@@ -18,6 +18,12 @@
 
 namespace apsim {
 
+struct GangParams;
+
+/// Run modes: a fixed-set gang run (the default), the batch baseline
+/// (`batch_mode`) and an open arrival stream (`arrival_process`). A key
+/// whose comment names the modes it supports is rejected by validate() in
+/// the others.
 struct ExperimentConfig {
   std::string label;
 
@@ -44,6 +50,9 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 1;
   double iterations_scale = 1.0;
+
+  /// Record each node's pagein/pageout time series into
+  /// RunOutcome::traces (one per node). All modes.
   bool capture_traces = false;
 
   /// When non-empty, the run constructs a switch-phase Tracer, instruments
@@ -52,11 +61,14 @@ struct ExperimentConfig {
   /// RunOutcome::switch_phases. Empty (the default) constructs no tracer at
   /// all: output is bit-identical to a tracer-free build. The magic value
   /// "-" collects spans and phase stats without writing a file (for tests
-  /// and benches that consume RunOutcome::trace in memory).
+  /// and benches that consume RunOutcome::trace in memory). All modes; a
+  /// batch run has no switch path, so it records the vmm, disk and tier
+  /// tracks only.
   std::string trace_json;
 
-  /// Run the jobs back to back instead of gang-scheduled (the baseline);
-  /// `policy` is ignored in this mode.
+  /// Run the fixed job set back to back instead of gang-scheduled (the
+  /// baseline); `policy` and `sched_policy` are ignored in this mode. Not
+  /// with an open arrival stream, checkpointing or autotune.
   bool batch_mode = false;
 
   /// Force the scalar per-touch access loop instead of the batched touch
@@ -110,7 +122,9 @@ struct ExperimentConfig {
   /// period and restarts crashed jobs from their last image on surviving
   /// nodes. When enabled, each node's disk gains a checkpoint region past
   /// the swap partition (num_blocks doubles), so checkpoint I/O contends
-  /// with paging on the same device.
+  /// with paging on the same device. Fixed-set gang runs only: the batch
+  /// baseline has no gang scheduler to checkpoint, and an open stream
+  /// submits jobs the checkpoint state was not sized for.
   SimDuration checkpoint_interval = 0;
   bool ckpt_incremental = true;  ///< dirty/delta images vs full live set
   int ckpt_max_retries = 3;      ///< image-write retry ladder depth
@@ -167,7 +181,9 @@ struct ExperimentConfig {
   /// subsystem. On, `autotune_controller` names the decision maker
   /// (dyn-thresh or hill-climb) ticked every `autotune_interval` of
   /// simulated time; `autotune_policy` additionally exposes the reclaim
-  /// policy selector as a discrete knob.
+  /// policy selector as a discrete knob. Fixed-set gang runs only: the
+  /// batch baseline has no gang scheduler to tune, and the control plane
+  /// stops for good at an open stream's first idle gap.
   bool autotune = false;
   std::string autotune_controller = "dyn-thresh";
   SimDuration autotune_interval = kSecond;
@@ -184,6 +200,11 @@ struct ExperimentConfig {
   /// Node hardware/kernel parameters implied by this config. Calls
   /// validate().
   [[nodiscard]] NodeParams make_node_params() const;
+
+  /// Gang scheduler parameters implied by this config, with the switch
+  /// watchdog auto-armed when the fault plan disturbs the control plane.
+  /// Calls validate(). (GangParams is declared in gang/gang_scheduler.hpp.)
+  [[nodiscard]] GangParams make_gang_params() const;
 
   [[nodiscard]] NetParams make_net_params() const { return NetParams{}; }
 };

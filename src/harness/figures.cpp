@@ -409,9 +409,9 @@ namespace {
   node.disk.num_blocks = node.swap_slots;
   Cluster cluster(1, node);
 
-  GangParams params;
-  params.quantum = 10 * kSecond;
-  GangScheduler scheduler(cluster, params);
+  ExperimentConfig config;
+  config.quantum = 10 * kSecond;
+  GangScheduler scheduler(cluster, config.make_gang_params());
 
   std::vector<std::unique_ptr<Process>> processes;
   constexpr int kJobs = 3;

@@ -9,22 +9,30 @@
 
 /// \file runner.hpp
 /// Builds the cluster + workloads for a configuration, runs it gang- or
-/// batch-scheduled, and extracts the outcome. Sweeps run one Simulator per
-/// worker thread (shared-nothing), so experiments scale with host cores
-/// while every individual simulation stays deterministic.
+/// batch-scheduled, and extracts the outcome. Every mode goes through one
+/// assembly: cluster, scheduler, jobs from a job source (the fixed NPB set,
+/// or the open arrival stream when config.arrival_process is set), the
+/// optional subsystems (tracer, checkpointing, control plane), the run, and
+/// one collect. Sweeps run one Simulator per worker thread (shared-nothing),
+/// so experiments scale with host cores while every individual simulation
+/// stays deterministic.
 
 namespace apsim {
 
-/// Run the configuration under the gang scheduler with its PolicySet.
-[[nodiscard]] RunOutcome run_gang(const ExperimentConfig& config);
-
-/// Run the same jobs back to back (the zero-switching baseline).
-[[nodiscard]] RunOutcome run_batch(const ExperimentConfig& config);
-
-/// Dispatch on config.batch_mode (handy with parallel_map over mixed lists).
+/// Run the configuration: its jobs under the gang scheduler with its
+/// PolicySet and sched_policy, or back to back when config.batch_mode is
+/// set (the zero-switching baseline). Throws std::invalid_argument if
+/// config.validate() does.
 [[nodiscard]] RunOutcome run_config(const ExperimentConfig& config);
 
-/// Gang run plus batch baseline plus the derived paper metrics.
+/// run_config with batch_mode forced off.
+[[nodiscard]] RunOutcome run_gang(const ExperimentConfig& config);
+
+/// run_config with batch_mode forced on.
+[[nodiscard]] RunOutcome run_batch(const ExperimentConfig& config);
+
+/// Gang run plus batch baseline plus the derived paper metrics. The
+/// baseline runs without traces, checkpoints or the control plane.
 struct EvaluatedRun {
   RunOutcome gang;
   RunOutcome batch;

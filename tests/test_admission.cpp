@@ -47,7 +47,7 @@ struct AdmissionFixture : ::testing::Test {
 TEST_F(AdmissionFixture, OvercommittingJobWaitsUntilMemoryFrees) {
   GangParams params;
   params.quantum = kSecond;
-  params.admission_control = true;
+  params.sched_policy = "admission";
   GangScheduler scheduler(cluster, params);
   Job& big = add_job(scheduler, "big", 600, 200);
   Job& other = add_job(scheduler, "other", 600, 200);  // 1200 > 900 budget
@@ -69,7 +69,7 @@ TEST_F(AdmissionFixture, OvercommittingJobWaitsUntilMemoryFrees) {
 TEST_F(AdmissionFixture, FittingJobsTimeshareNormally) {
   GangParams params;
   params.quantum = kSecond;
-  params.admission_control = true;
+  params.sched_policy = "admission";
   GangScheduler scheduler(cluster, params);
   Job& a = add_job(scheduler, "a", 300, 400);
   Job& b = add_job(scheduler, "b", 300, 400);  // 600 <= 900 budget
@@ -86,7 +86,7 @@ TEST_F(AdmissionFixture, FittingJobsTimeshareNormally) {
 TEST_F(AdmissionFixture, DisabledAdmissionAdmitsEverything) {
   GangParams params;
   params.quantum = kSecond;
-  params.admission_control = false;
+  params.sched_policy = "matrix";
   GangScheduler scheduler(cluster, params);
   Job& big = add_job(scheduler, "big", 600, 50);
   Job& other = add_job(scheduler, "other", 600, 50);

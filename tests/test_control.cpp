@@ -286,7 +286,9 @@ struct GenPolicyFixture : ::testing::Test {
 
   void populate(Pid pid, VPage begin, VPage end) {
     for (VPage v = begin; v < end; ++v) {
-      if (!vmm.touch(pid, v, true)) ASSERT_TRUE(sync_fault(pid, v, true));
+      if (!vmm.touch(pid, v, true)) {
+        ASSERT_TRUE(sync_fault(pid, v, true));
+      }
     }
   }
 

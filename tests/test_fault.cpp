@@ -529,6 +529,15 @@ TEST(ConfigValidate, RejectsNonsenseWithSpecificErrors) {
   expect_throw([](auto& c) { c.horizon = 0; });
   expect_throw([](auto& c) { c.swap_mb = -1.0; });
   expect_throw([](auto& c) { c.swap_mb = 1.0; });  // smaller than wired memory
+  // Checkpointing and the control plane run on fixed-set gang runs only.
+  expect_throw([](auto& c) {
+    c.batch_mode = true;
+    c.checkpoint_interval = 3 * kSecond;
+  });
+  expect_throw([](auto& c) {
+    c.batch_mode = true;
+    c.autotune = true;
+  });
   EXPECT_NO_THROW(tiny_config().validate());
 }
 
@@ -537,6 +546,11 @@ TEST(ConfigValidate, RunnersRejectInvalidConfigs) {
   config.quantum = -kSecond;
   EXPECT_THROW((void)run_gang(config), std::invalid_argument);
   config.batch_mode = true;
+  EXPECT_THROW((void)run_batch(config), std::invalid_argument);
+  // run_batch validates the config it runs: batch mode forced on.
+  config = tiny_config();
+  config.autotune = true;
+  EXPECT_NO_THROW(config.validate());
   EXPECT_THROW((void)run_batch(config), std::invalid_argument);
 }
 

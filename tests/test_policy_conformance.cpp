@@ -21,7 +21,6 @@
 #include "cluster/cluster.hpp"
 #include "gang/gang_scheduler.hpp"
 #include "gang/policy_registry.hpp"
-#include "harness/open_arrival.hpp"
 #include "harness/runner.hpp"
 #include "workloads/generator.hpp"
 
@@ -201,7 +200,7 @@ TEST_P(PolicyConformance, OpenArrivalRunIsThreadCountIndependent) {
   // threads: each simulation is shared-nothing, and the policy registry's
   // name list is handed out by value.
   const std::vector<ExperimentConfig> configs(4, config);
-  const std::function<RunOutcome(const ExperimentConfig&)> fn = run_open;
+  const std::function<RunOutcome(const ExperimentConfig&)> fn = run_config;
   const std::vector<RunOutcome> t1 = parallel_map<RunOutcome>(configs, fn, 1);
   const std::vector<RunOutcome> t2 = parallel_map<RunOutcome>(configs, fn, 2);
   const std::vector<RunOutcome> t8 = parallel_map<RunOutcome>(configs, fn, 8);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "cluster/cluster.hpp"
@@ -58,7 +59,10 @@ RunArtifacts run_stressed(const PolicySet& policy, std::uint64_t seed) {
   return artifacts;
 }
 
-using PolicySeed = std::tuple<const char*, std::uint64_t>;
+// The policy is a std::string, not a const char*: gtest prints a char pointer
+// inside a tuple as its address, which would put a per-process address into
+// every listed test name.
+using PolicySeed = std::tuple<std::string, std::uint64_t>;
 
 class InvariantTest : public ::testing::TestWithParam<PolicySeed> {};
 

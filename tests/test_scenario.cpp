@@ -347,6 +347,15 @@ TEST(Scenario, OpenArrivalConfigRejectsBatchMode) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.batch_mode = false;
   EXPECT_NO_THROW(config.validate());
+  // Checkpoint state is sized at start() and both tickers stop at the
+  // first idle gap, so an open stream takes neither subsystem.
+  config.checkpoint_interval = 3 * kSecond;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.checkpoint_interval = 0;
+  config.autotune = true;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.autotune = false;
+  EXPECT_NO_THROW(config.validate());
   config.arrival_process = "weibull";
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
