@@ -12,7 +12,13 @@ namespace apsim {
 // SelectiveReclaimPolicy
 
 SelectiveReclaimPolicy::SelectiveReclaimPolicy()
-    : fallback_(std::make_unique<ClockReclaimPolicy>()) {}
+    : SelectiveReclaimPolicy(make_reclaim_policy("clock-lru")) {}
+
+SelectiveReclaimPolicy::SelectiveReclaimPolicy(
+    std::unique_ptr<ReclaimPolicy> fallback)
+    : fallback_(std::move(fallback)) {
+  assert(fallback_ != nullptr);
+}
 
 void SelectiveReclaimPolicy::set_fallback(
     std::unique_ptr<ReclaimPolicy> fallback) {
@@ -28,18 +34,17 @@ void SelectiveReclaimPolicy::set_victim_process(Pid pid) {
 }
 
 std::unique_ptr<ReclaimPolicy> SelectiveReclaimPolicy::clone() const {
-  auto copy = std::make_unique<SelectiveReclaimPolicy>();
+  auto fallback = fallback_->clone();
+  if (!fallback) return nullptr;  // fallback not snapshottable
+  auto copy = std::make_unique<SelectiveReclaimPolicy>(std::move(fallback));
   copy->victim_ = victim_;
   copy->cache_ = cache_;
   copy->cursor_ = cursor_;
   copy->cache_resident_ = cache_resident_;
-  auto fallback = fallback_->clone();
-  if (!fallback) return nullptr;  // fallback not snapshottable
-  copy->fallback_ = std::move(fallback);
   return copy;
 }
 
-void SelectiveReclaimPolicy::rebuild_cache(Vmm& vmm) {
+std::int64_t SelectiveReclaimPolicy::rebuild_cache(Vmm& vmm) {
   cache_.clear();
   cursor_ = 0;
   auto& as = vmm.space(victim_);
@@ -57,6 +62,7 @@ void SelectiveReclaimPolicy::rebuild_cache(Vmm& vmm) {
   std::sort(pages.begin(), pages.end());
   cache_.reserve(pages.size());
   for (const auto& [ref, v] : pages) cache_.push_back(v);
+  return cache_resident_;  // every present page was examined
 }
 
 std::vector<Victim> SelectiveReclaimPolicy::select_victims(
@@ -64,13 +70,15 @@ std::vector<Victim> SelectiveReclaimPolicy::select_victims(
   std::vector<Victim> out;
   if (max_pages <= 0) return out;
 
+  std::int64_t scanned = 0;
   if (victim_ != kNoPid) {
     auto& as = vmm.space(victim_);
     if (as.alive() && as.resident_pages() > 0) {
-      if (cache_resident_ < 0) rebuild_cache(vmm);
+      if (cache_resident_ < 0) scanned += rebuild_cache(vmm);
       for (int attempt = 0; attempt < 2 && out.empty(); ++attempt) {
         while (cursor_ < cache_.size() && std::ssize(out) < max_pages) {
           const VPage v = cache_[cursor_++];
+          ++scanned;
           const auto pte = as.page_table().at(v);
           if (pte.present() && !pte.io_busy()) out.push_back(Victim{victim_, v});
         }
@@ -79,14 +87,15 @@ std::vector<Victim> SelectiveReclaimPolicy::select_victims(
         // was built, e.g. in-flight page-ins landing): rebuild once.
         if (cursor_ >= cache_.size() && as.resident_pages() > 0 &&
             cache_resident_ != as.resident_pages()) {
-          rebuild_cache(vmm);
+          scanned += rebuild_cache(vmm);
         } else {
           break;
         }
       }
-      if (!out.empty()) return out;
     }
   }
+  vmm.note_pages_scanned(static_cast<std::uint64_t>(scanned));
+  if (!out.empty()) return out;
   // The outgoing process is fully swapped out (or none designated): the
   // base replacement takes over, exactly as in the paper's Figure 2.
   return fallback_->select_victims(vmm, max_pages);
@@ -96,22 +105,17 @@ std::vector<Victim> SelectiveReclaimPolicy::select_victims(
 // AdaptivePager
 
 AdaptivePager::AdaptivePager(Node& node, AdaptivePagerParams params)
-    : node_(node), params_(std::move(params)) {
-  // "clock-lru" is the VMM's constructor default: install nothing so the
-  // no-selective, default-policy path stays bit-identical to the
-  // pre-registry tree.
-  std::unique_ptr<ReclaimPolicy> base;
-  if (params_.reclaim_policy != "clock-lru") {
-    base = make_reclaim_policy(params_.reclaim_policy);
-    base_policy_name_ = params_.reclaim_policy;
-  }
+    : node_(node),
+      params_(std::move(params)),
+      base_policy_name_(params_.reclaim_policy) {
   if (params_.policy.selective_out) {
-    auto policy = std::make_unique<SelectiveReclaimPolicy>();
-    if (base) policy->set_fallback(std::move(base));
+    auto policy = std::make_unique<SelectiveReclaimPolicy>(
+        make_reclaim_policy(base_policy_name_));
     selective_ = policy.get();
     node_.vmm().set_reclaim_policy(std::move(policy));
-  } else if (base) {
-    node_.vmm().set_reclaim_policy(std::move(base));
+  } else if (base_policy_name_ != "clock-lru") {
+    // A clock-lru base needs nothing: it is the VMM's constructor default.
+    node_.vmm().set_reclaim_policy(make_reclaim_policy(base_policy_name_));
   }
   if (params_.policy.adaptive_in) {
     node_.vmm().set_evict_observer(

@@ -34,7 +34,9 @@ namespace apsim {
 /// process's residual working set.
 class SelectiveReclaimPolicy final : public ReclaimPolicy {
  public:
+  /// Falls back to a fresh clock-lru.
   SelectiveReclaimPolicy();
+  explicit SelectiveReclaimPolicy(std::unique_ptr<ReclaimPolicy> fallback);
 
   /// Designate the current outgoing process (kNoPid to disable).
   void set_victim_process(Pid pid);
@@ -55,10 +57,15 @@ class SelectiveReclaimPolicy final : public ReclaimPolicy {
 
   [[nodiscard]] std::string_view name() const override { return "selective"; }
 
+  /// The fallback keeps its bookkeeping current while this wrapper serves
+  /// victims from the outgoing process.
+  void on_map(Pid pid, VPage vpage) override { fallback_->on_map(pid, vpage); }
+
   [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override;
 
  private:
-  void rebuild_cache(Vmm& vmm);
+  /// Rebuild the oldest-first page list; returns the pages examined.
+  std::int64_t rebuild_cache(Vmm& vmm);
 
   Pid victim_ = kNoPid;
   std::vector<VPage> cache_;          ///< victim's pages, oldest first
@@ -190,7 +197,7 @@ class AdaptivePager {
   Node& node_;
   AdaptivePagerParams params_;
   SelectiveReclaimPolicy* selective_ = nullptr;  ///< owned by the VMM
-  std::string base_policy_name_ = "clock-lru";
+  std::string base_policy_name_;
 
   std::set<Pid> managed_;
   std::map<Pid, PageRecorder> recorders_;

@@ -5,41 +5,56 @@
 
 namespace apsim {
 
-FrameTable::FrameTable(std::int64_t num_frames)
-    : frames_(static_cast<std::size_t>(num_frames)) {
+FrameTable::FrameTable(std::int64_t num_frames) : total_(num_frames) {
   // 0 frames is a valid (empty) table: MemSnapshot default-constructs one
   // as a placeholder before capture fills it in.
   assert(num_frames >= 0);
-  free_.reserve(frames_.size());
-  // Hand out low frame numbers first (purely cosmetic determinism).
-  for (std::int64_t f = num_frames - 1; f >= 0; --f) free_.push_back(f);
+}
+
+FrameNum FrameTable::take() {
+  assert(free_frames() > 0);
+  if (!free_.empty()) {
+    const FrameNum f = free_.back();
+    free_.pop_back();
+    return f;
+  }
+  frames_.emplace_back();
+  return fresh_++;
+}
+
+const FrameTable::Frame& FrameTable::frame(FrameNum f) const {
+  static const Frame kWired{kNoPid, -2};
+  static const Frame kNeverUsed{};
+  if (f < base_) return kWired;
+  if (f >= fresh_) return kNeverUsed;
+  return frames_[static_cast<std::size_t>(f - base_)];
 }
 
 std::int64_t FrameTable::wire_down(std::int64_t n) {
   const std::int64_t taken = std::min<std::int64_t>(n, free_frames());
   for (std::int64_t i = 0; i < taken; ++i) {
-    const FrameNum f = free_.back();
-    free_.pop_back();
-    frames_[static_cast<std::size_t>(f)].owner = kNoPid;
-    frames_[static_cast<std::size_t>(f)].vpage = -2;  // wired marker
+    if (fresh_ == base_) {
+      // Nothing handed out yet: the frame joins the record-less prefix.
+      ++fresh_;
+      ++base_;
+      continue;
+    }
+    record(take()) = Frame{kNoPid, -2};  // wired marker
   }
   wired_ += taken;
   return taken;
 }
 
 std::optional<FrameNum> FrameTable::alloc(Pid owner, VPage vpage) {
-  if (free_.empty()) return std::nullopt;
-  const FrameNum f = free_.back();
-  free_.pop_back();
-  auto& fr = frames_[static_cast<std::size_t>(f)];
-  fr.owner = owner;
-  fr.vpage = vpage;
+  if (free_frames() == 0) return std::nullopt;
+  const FrameNum f = take();
+  record(f) = Frame{owner, vpage};
   return f;
 }
 
 void FrameTable::free(FrameNum frame) {
-  assert(frame >= 0 && frame < total_frames());
-  auto& fr = frames_[static_cast<std::size_t>(frame)];
+  assert(frame >= base_ && frame < fresh_);
+  auto& fr = record(frame);
   assert(fr.owner != kNoPid && "freeing an unowned frame");
   fr.owner = kNoPid;
   fr.vpage = -1;

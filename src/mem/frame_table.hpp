@@ -7,9 +7,15 @@
 #include "mem/page.hpp"
 
 /// \file frame_table.hpp
-/// Physical-memory accounting for one node: a frame array plus a free list.
+/// Physical-memory accounting for one node: frame records plus a free list.
 /// Frames can be wired down in bulk to emulate the paper's use of mlock() to
 /// shrink usable memory and force overcommit with the NPB data sizes at hand.
+///
+/// Frames are handed out lowest-numbered first, returned frames before
+/// never-used ones. Only frames that have been handed out occupy memory:
+/// the never-used ones are a counter, and frames wired down before any was
+/// handed out (how a node shrinks its memory) keep no record at all, so a
+/// node with 1 GB of frames and 230 MB usable needs at most ~1.4 MB here.
 
 namespace apsim {
 
@@ -22,11 +28,9 @@ class FrameTable {
 
   explicit FrameTable(std::int64_t num_frames);
 
-  [[nodiscard]] std::int64_t total_frames() const {
-    return static_cast<std::int64_t>(frames_.size());
-  }
+  [[nodiscard]] std::int64_t total_frames() const { return total_; }
   [[nodiscard]] std::int64_t free_frames() const {
-    return static_cast<std::int64_t>(free_.size());
+    return static_cast<std::int64_t>(free_.size()) + (total_ - fresh_);
   }
   [[nodiscard]] std::int64_t wired_frames() const { return wired_; }
   /// Frames a process could ever hold (total minus wired).
@@ -47,13 +51,21 @@ class FrameTable {
   /// Return a frame to the free pool.
   void free(FrameNum frame);
 
-  [[nodiscard]] const Frame& frame(FrameNum f) const {
-    return frames_[static_cast<std::size_t>(f)];
-  }
+  [[nodiscard]] const Frame& frame(FrameNum f) const;
 
  private:
-  std::vector<Frame> frames_;
-  std::vector<FrameNum> free_;
+  /// Next free frame (one must exist): the last returned one, else the
+  /// lowest never-used one.
+  FrameNum take();
+  [[nodiscard]] Frame& record(FrameNum f) {
+    return frames_[static_cast<std::size_t>(f - base_)];
+  }
+
+  std::int64_t total_ = 0;
+  FrameNum base_ = 0;   ///< frames below were wired before any was handed out
+  FrameNum fresh_ = 0;  ///< frames [fresh_, total_) were never handed out
+  std::vector<Frame> frames_;   ///< records of frames [base_, fresh_)
+  std::vector<FrameNum> free_;  ///< returned frames, next to hand out last
   std::int64_t wired_ = 0;
 };
 

@@ -100,6 +100,14 @@ class PageTable {
     return scan_from(from, [&m](std::size_t w) { return m.present[w]; });
   }
 
+  /// First page >= from that is present with no I/O in flight (a page the
+  /// clock sweep can act on); num_pages() if none.
+  [[nodiscard]] VPage next_present_idle(VPage from) const {
+    const Meta& m = *meta_;
+    return scan_from(
+        from, [&m](std::size_t w) { return m.present[w] & ~m.io_busy[w]; });
+  }
+
   /// First page >= from that is live (present or holding a swap copy);
   /// num_pages() if none.
   [[nodiscard]] VPage next_live(VPage from) const {

@@ -37,6 +37,7 @@ std::vector<Victim> ClockReclaimPolicy::select_victims(Vmm& vmm,
           : 2;
   std::int64_t budget = revolutions * total_resident + 1;
   std::size_t exhausted_streak = 0;  // processes in a row with nothing to scan
+  std::uint64_t scanned = 0;
 
   while (budget > 0 && std::ssize(out) < max_pages &&
          exhausted_streak < pids.size()) {
@@ -59,11 +60,12 @@ std::vector<Victim> ClockReclaimPolicy::select_victims(Vmm& vmm,
     bool found_any = false;
     while (quota > 0 && steps > 0 && std::ssize(out) < max_pages) {
       const VPage v = pt.clock_hand();
-      // Word-skip runs of non-present pages. Each skipped page still costs
-      // one step (the page-at-a-time sweep visited it), so the hand lands
-      // exactly where it would have — including when the step budget runs
-      // out mid-run.
-      const VPage np = pt.next_present(v);
+      // Word-skip runs of pages the sweep cannot act on: non-present pages
+      // and pages with I/O in flight (which cost a step but no quota).
+      // Each skipped page still costs one step (the page-at-a-time sweep
+      // visited it), so the hand lands exactly where it would have —
+      // including when the step budget runs out mid-run.
+      const VPage np = pt.next_present_idle(v);
       if (np != v) {
         const std::int64_t gap = (np >= npages ? npages : np) - v;
         if (gap >= steps) {
@@ -77,8 +79,8 @@ std::vector<Victim> ClockReclaimPolicy::select_victims(Vmm& vmm,
       }
       pt.advance_clock_hand();
       --steps;
+      ++scanned;
       Pte pte = pt.at(v);
-      if (pte.io_busy()) continue;
       --quota;
       --budget;
       if (pte.referenced()) {
@@ -105,6 +107,7 @@ std::vector<Victim> ClockReclaimPolicy::select_victims(Vmm& vmm,
     exhausted_streak = found_any ? 0 : exhausted_streak + 1;
     ++cursor_;
   }
+  vmm.note_pages_scanned(scanned);
   return out;
 }
 

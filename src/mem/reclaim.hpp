@@ -34,10 +34,19 @@ class ReclaimPolicy {
   /// Select up to \p max_pages evictable pages (present, not io-busy).
   /// Returning fewer than max_pages means the policy found nothing more;
   /// returning an empty vector means no evictable page exists right now.
+  /// Implementations add the page-table entries they examine one at a time
+  /// (not those skipped a bitmap word at a time) to Vmm::note_pages_scanned.
   [[nodiscard]] virtual std::vector<Victim> select_victims(Vmm& vmm,
                                                            std::int64_t max_pages) = 0;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
+
+  /// The Vmm mapped (pid, vpage): its present bit went from clear to set.
+  /// Called at every such transition on the Vmm the policy is installed on,
+  /// in event order, so a policy can keep its own bookkeeping current
+  /// instead of rescanning the page tables. Must stay cheap: every fault
+  /// and page-in lands here. Default: ignore.
+  virtual void on_map(Pid /*pid*/, VPage /*vpage*/) {}
 
   /// Deep copy including sweep state (clock hands, queues, ghost lists), so
   /// a memory snapshot can save and restore the policy mid-run. Policies

@@ -14,6 +14,7 @@ std::vector<Victim> ExactLruPolicy::select_victims(Vmm& vmm,
   // Gather all evictable pages with their last-reference times and take the
   // oldest max_pages. Exactness over efficiency: this is a reference model.
   std::vector<std::pair<SimTime, Victim>> candidates;
+  std::uint64_t scanned = 0;
   for (Pid pid : vmm.pids()) {
     const auto& as = vmm.space(pid);
     if (!as.alive() || as.resident_pages() == 0) continue;
@@ -24,8 +25,10 @@ std::vector<Victim> ExactLruPolicy::select_victims(Vmm& vmm,
       if (!pte.io_busy()) {
         candidates.emplace_back(pte.last_ref(), Victim{pid, v});
       }
+      ++scanned;
     }
   }
+  vmm.note_pages_scanned(scanned);
   const auto take = std::min<std::size_t>(
       candidates.size(), static_cast<std::size_t>(max_pages));
   std::partial_sort(candidates.begin(),
@@ -42,7 +45,7 @@ std::vector<Victim> ExactLruPolicy::select_victims(Vmm& vmm,
   return out;
 }
 
-void FifoPolicy::refill(Vmm& vmm) {
+std::int64_t FifoPolicy::refill(Vmm& vmm) {
   // Rebuild the queue ordered by first-mapped approximation: we do not
   // track map-in time separately, so use last_ref of never-re-referenced
   // pages and vpage order otherwise. For FIFO's purpose (a reference-blind
@@ -51,6 +54,7 @@ void FifoPolicy::refill(Vmm& vmm) {
   queue_.clear();
   cursor_ = 0;
   std::vector<std::pair<SimTime, Victim>> candidates;
+  std::int64_t scanned = 0;
   for (Pid pid : vmm.pids()) {
     const auto& as = vmm.space(pid);
     if (!as.alive() || as.resident_pages() == 0) continue;
@@ -61,6 +65,7 @@ void FifoPolicy::refill(Vmm& vmm) {
       if (!pte.io_busy()) {
         candidates.emplace_back(pte.last_ref(), Victim{pid, v});
       }
+      ++scanned;
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -73,22 +78,26 @@ void FifoPolicy::refill(Vmm& vmm) {
             });
   queue_.reserve(candidates.size());
   for (auto& [t, victim] : candidates) queue_.push_back(victim);
+  return scanned;
 }
 
 std::vector<Victim> FifoPolicy::select_victims(Vmm& vmm,
                                                std::int64_t max_pages) {
   std::vector<Victim> out;
   if (max_pages <= 0) return out;
+  std::int64_t scanned = 0;
   for (int attempt = 0; attempt < 2 && out.empty(); ++attempt) {
     while (cursor_ < queue_.size() && std::ssize(out) < max_pages) {
       const Victim victim = queue_[cursor_++];
+      ++scanned;
       const auto& as = vmm.space(victim.pid);
       if (!as.alive()) continue;
       const auto pte = as.page_table().at(victim.vpage);
       if (pte.present() && !pte.io_busy()) out.push_back(victim);
     }
-    if (out.empty() && cursor_ >= queue_.size()) refill(vmm);
+    if (out.empty() && cursor_ >= queue_.size()) scanned += refill(vmm);
   }
+  vmm.note_pages_scanned(static_cast<std::uint64_t>(scanned));
   return out;
 }
 

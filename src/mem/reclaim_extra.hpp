@@ -44,7 +44,8 @@ class FifoPolicy final : public ReclaimPolicy {
   }
 
  private:
-  void refill(Vmm& vmm);
+  /// Rebuild the queue from the page tables; returns the pages examined.
+  std::int64_t refill(Vmm& vmm);
 
   std::vector<Victim> queue_;  ///< oldest-mapped first
   std::size_t cursor_ = 0;

@@ -4,8 +4,11 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "mem/page_table.hpp"
 #include "mem/reclaim.hpp"
 
 /// \file reclaim_gen.hpp
@@ -24,11 +27,12 @@
 ///     enter a small probationary FIFO; pages evicted from it leave a ghost
 ///     entry, and a page that re-enters memory while its ghost is live is
 ///     promoted straight to the main queue (the "one-hit wonder" filter).
-///     Queue membership is rebuilt lazily against the page tables, like the
-///     FIFO baseline in reclaim_extra.hpp.
+///     New pages reach the queues through the on_map hook.
 ///
 /// Both policies keep all bookkeeping on their side of the ReclaimPolicy
 /// interface and are deterministic functions of the page tables they scan.
+/// A call costs O(victims + bitmap words), not O(resident pages); see
+/// "Reclaim cost" in docs/ARCHITECTURE.md.
 
 namespace apsim {
 
@@ -48,12 +52,20 @@ class MglruPolicy final : public ReclaimPolicy {
   static constexpr std::uint8_t kEntryGen = 1;
 
  private:
+  /// Pages examined on one process before rotating to the next.
+  static constexpr std::int64_t kQuota = 64;
+
   struct ProcState {
-    std::vector<std::uint8_t> gen;  ///< per-vpage generation (sized lazily)
-    VPage hand = 0;                 ///< per-process sweep position
+    std::vector<std::uint8_t> gen;    ///< per-vpage generation (sized lazily)
+    std::vector<std::uint64_t> gen0;  ///< bitmap: gen[v] == 0
+    VPage hand = 0;                   ///< per-process sweep position
   };
 
   void prune_dead(Vmm& vmm);
+  ProcState& state_for(Pid pid, const PageTable& pt);
+  /// Jump over whole rotation rounds in which no process reaches a page it
+  /// can act on, charging \p budget, the hands and cursor_ as the sweep would.
+  void skip_idle_rounds(Vmm& vmm, std::int64_t& budget);
 
   std::map<Pid, ProcState> procs_;
   std::size_t cursor_ = 0;  ///< rotating process index
@@ -65,6 +77,9 @@ class S3FifoPolicy final : public ReclaimPolicy {
                                                    std::int64_t max_pages) override;
 
   [[nodiscard]] std::string_view name() const override { return "s3-fifo"; }
+
+  /// Remember the page for the next ingest (it may need a queue entry).
+  void on_map(Pid pid, VPage vpage) override;
 
   [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
     return std::make_unique<S3FifoPolicy>(*this);
@@ -100,18 +115,70 @@ class S3FifoPolicy final : public ReclaimPolicy {
  private:
   using Key = std::pair<Pid, VPage>;
   enum class Where : std::uint8_t { kSmall, kMain };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>{}(
+          (static_cast<std::uint64_t>(k.first) << 40) ^
+          static_cast<std::uint64_t>(k.second));
+    }
+  };
 
   /// Enqueue resident pages not yet tracked, routing ghost re-entries to
-  /// the main queue. Deterministic scan order: pid then vpage ascending.
-  void ingest(Vmm& vmm);
+  /// the main queue, in pid then vpage order. Only pages mapped since the
+  /// last call and that call's still-present victims can be untracked, so
+  /// those are all it examines — unless it cannot prove mapped_ holds every
+  /// map since the last call, in which case it rescans every page table.
+  /// Returns the pages examined.
+  std::int64_t ingest(Vmm& vmm);
+  void enqueue(const Key& key);
   void ghost_insert(const Key& key);
+
+  /// Whether \p small_queue is where the sweep evicts from, given the
+  /// current queue sizes.
+  [[nodiscard]] bool evicts_from_small() const;
+  /// Record that the sweep just requeued every entry of the queue it
+  /// drains (all in flight), owing it \p rotation more requeues.
+  void park(std::int64_t rotation);
+  /// True while every page of the parked queue is still in flight.
+  [[nodiscard]] bool parked_in_flight(const Vmm& vmm) const;
+  /// Perform the owed requeues (on the queue's entries as parked) and
+  /// forget the parked state.
+  void unpark();
 
   std::deque<Key> small_;
   std::deque<Key> main_;
-  std::map<Key, Where> tracked_;
+  std::unordered_map<Key, Where, KeyHash> tracked_;  ///< never iterated
   std::set<Key> ghost_;
   std::deque<Key> ghost_fifo_;  ///< ghost eviction order (capacity-bounded)
   Stats stats_;
+
+  // Incremental ingest. mapped_ holds every on_map since the last call while
+  // synced_; it is proven complete when synced_maps_ + mapped_.size() equals
+  // the Vmm's map count. returned_ holds the last call's victims.
+  std::vector<Key> mapped_;
+  std::vector<Key> returned_;
+  const Vmm* synced_vmm_ = nullptr;
+  std::uint64_t synced_maps_ = 0;
+  bool synced_ = false;
+
+  // The queue the sweep drains, when its last drain requeued every entry
+  // for I/O in flight. While every one of those pages is still in flight
+  // and neither queue has changed size, a call only rotates that queue, so
+  // the rotation is owed instead of performed.
+  struct ParkedWord {
+    Pid pid = kNoPid;
+    std::size_t word = 0;
+    std::uint64_t pages = 0;  ///< the queue's pages in this bitmap word
+  };
+  struct Parked {
+    bool active = false;
+    bool small = false;  ///< which queue is parked
+    std::size_t small_size = 0;
+    std::size_t main_size = 0;
+    std::int64_t rotation = 0;  ///< requeues owed, < the queue's size
+    std::vector<ParkedWord> words;
+  };
+  Parked parked_;
 };
 
 }  // namespace apsim

@@ -29,7 +29,14 @@ std::string reclaim_policy_names_hint() {
   return hint;
 }
 
-std::unique_ptr<ReclaimPolicy> make_reclaim_policy(std::string_view name) {
+namespace {
+
+ReclaimPolicyHook& policy_hook() {
+  static ReclaimPolicyHook hook;
+  return hook;
+}
+
+std::unique_ptr<ReclaimPolicy> build_reclaim_policy(std::string_view name) {
   if (name == "clock-lru") return std::make_unique<ClockReclaimPolicy>();
   if (name == "exact-lru") return std::make_unique<ExactLruPolicy>();
   if (name == "fifo") return std::make_unique<FifoPolicy>();
@@ -37,6 +44,20 @@ std::unique_ptr<ReclaimPolicy> make_reclaim_policy(std::string_view name) {
   if (name == "s3-fifo") return std::make_unique<S3FifoPolicy>();
   throw std::invalid_argument("unknown reclaim policy '" + std::string(name) +
                               "'; " + reclaim_policy_names_hint());
+}
+
+}  // namespace
+
+std::unique_ptr<ReclaimPolicy> make_reclaim_policy(std::string_view name) {
+  auto policy = build_reclaim_policy(name);
+  if (const ReclaimPolicyHook& hook = policy_hook()) {
+    return hook(std::move(policy));
+  }
+  return policy;
+}
+
+void set_reclaim_policy_hook(ReclaimPolicyHook hook) {
+  policy_hook() = std::move(hook);
 }
 
 }  // namespace apsim

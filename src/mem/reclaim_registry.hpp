@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,8 +28,21 @@ namespace apsim {
 [[nodiscard]] std::string reclaim_policy_names_hint();
 
 /// Construct the named policy. Throws std::invalid_argument naming the valid
-/// policies when \p name is unknown.
+/// policies when \p name is unknown. Every policy a run installs is built
+/// here, the VMM's default clock and the selective wrapper's fallback
+/// included.
 [[nodiscard]] std::unique_ptr<ReclaimPolicy> make_reclaim_policy(
     std::string_view name);
+
+/// Receives each policy make_reclaim_policy builds and returns the one to
+/// use in its place (the same object, a wrapper around it, or a substitute).
+using ReclaimPolicyHook = std::function<std::unique_ptr<ReclaimPolicy>(
+    std::unique_ptr<ReclaimPolicy>)>;
+
+/// Install \p hook for every later make_reclaim_policy call (an empty hook
+/// removes it). Lets a test record or substitute the policies inside a full
+/// run (the initial one and every live switch) without assembling the run
+/// itself. Not synchronised: change it only while no run is in flight.
+void set_reclaim_policy_hook(ReclaimPolicyHook hook);
 
 }  // namespace apsim

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <utility>
 
+#include "mem/reclaim_registry.hpp"
 #include "tier/tier_manager.hpp"
 
 namespace apsim {
@@ -12,7 +13,7 @@ namespace apsim {
 Vmm::Vmm(Simulator& sim, SwapDevice& swap, VmmParams params)
     : sim_(sim), swap_(swap), params_(params), frames_(params.total_frames),
       log_("vmm", &sim, &Vmm::clock_thunk, LogLevel::kWarn),
-      policy_(std::make_unique<ClockReclaimPolicy>()) {
+      policy_(make_reclaim_policy("clock-lru")) {
   assert(params_.freepages_min <= params_.freepages_low);
   assert(params_.freepages_low <= params_.freepages_high);
   assert(params_.page_cluster >= 1);
@@ -469,7 +470,7 @@ void Vmm::finish_minor_fault(Pid pid, VPage vpage, bool write,
     ++as.ws_pages_;
   }
   ++as.resident_;
-  as.note_mapped(vpage);
+  note_mapped(as, vpage);
   ++as.dirty_resident_;
   ++as.stats_.minor_faults;
   if (tracer_ != nullptr) {
@@ -633,7 +634,7 @@ void Vmm::issue_major_read(Pid pid, VPage lo, std::int64_t count, VPage vpage,
           p.set_age(params_.age_initial);
           p.set_last_ref(sim_.now());
           ++as2.resident_;
-          as2.note_mapped(v);
+          note_mapped(as2, v);
           if (!stalled_retry_counts_.empty()) {
             stalled_retry_counts_.erase({pid, v});
           }
@@ -1128,7 +1129,7 @@ void Vmm::prefetch_pump(const std::shared_ptr<PrefetchJob>& job) {
                    pte.set_age(params_.age_initial);
                    pte.set_last_ref(sim_.now());
                    ++as2.resident_;
-                   as2.note_mapped(p);
+                   note_mapped(as2, p);
                    fire_io_waiters(job->pid, p);
                  }
                  if (as2.alive_) account_pagein(len, as2);

@@ -387,6 +387,8 @@ class Vmm {
 
   struct Stats {
     std::uint64_t reclaim_steps = 0;
+    std::uint64_t pages_scanned = 0;  ///< PTEs reclaim examined one at a time
+    std::uint64_t pages_mapped = 0;   ///< present-bit sets (on_map calls)
     std::uint64_t oom_waiter_releases = 0;  ///< waiters released unsatisfied
     std::uint64_t alloc_retries = 0;        ///< frame allocation retried after delay
     std::uint64_t io_read_failures = 0;     ///< failed swap read transfers
@@ -397,6 +399,11 @@ class Vmm {
     std::uint64_t prefetch_aborts = 0;      ///< prefetch replays abandoned on error
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  /// Reclaim policies report the page-table entries they examined here.
+  void note_pages_scanned(std::uint64_t pages) {
+    stats_.pages_scanned += pages;
+  }
 
   /// True while the reclaimer cannot make progress (swap exhausted or its
   /// writes persistently failing); the adaptive pager uses this to degrade.
@@ -444,6 +451,14 @@ class Vmm {
   void recycle_waiter_list(std::vector<std::function<void()>>&& list);
   /// Abandon the fault on (pid, vpage) and notify the failure handler.
   void declare_unrecoverable(Pid pid, VPage vpage, PageFailure failure);
+
+  /// Every present-bit set goes through here: the residency cache, the map
+  /// count and the reclaim policy's on_map hook.
+  void note_mapped(AddressSpace& as, VPage vpage) {
+    as.note_mapped(vpage);
+    ++stats_.pages_mapped;
+    policy_->on_map(as.pid(), vpage);
+  }
 
   // Reclaim machinery.
   void kick_reclaim();

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mem/frame_table.hpp"
@@ -55,6 +57,59 @@ TEST(FrameTable, WireDownClampsToFreePool) {
   (void)frames.alloc(1, 0);
   EXPECT_EQ(frames.wire_down(100), 9);
   EXPECT_EQ(frames.usable_frames(), 1);
+}
+
+TEST(FrameTable, HandsOutFramesLikeAFullFreeList) {
+  // Shadow: the free list as one vector holding every free frame, highest
+  // first, so pop_back hands out the lowest (the table stores only frames
+  // that were handed out). Random alloc/free/wire sequences, before and
+  // after the first allocation, must agree frame for frame.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::int64_t n = 40 + static_cast<std::int64_t>(seed);
+    FrameTable frames(n);
+    std::vector<FrameNum> shadow_free;
+    for (FrameNum f = n - 1; f >= 0; --f) shadow_free.push_back(f);
+    std::vector<FrameNum> owned;
+    std::int64_t wired = 0;
+    const auto wire = [&](std::int64_t k) {
+      const std::int64_t want =
+          std::min<std::int64_t>(k, std::ssize(shadow_free));
+      ASSERT_EQ(frames.wire_down(k), want);
+      shadow_free.resize(shadow_free.size() - static_cast<std::size_t>(want));
+      wired += want;
+    };
+    if (seed % 2 == 0) wire(static_cast<std::int64_t>(seed));  // before any use
+    for (int step = 0; step < 400; ++step) {
+      const double r = rng.uniform();
+      if (r < 0.55) {
+        const auto f = frames.alloc(1, step);
+        if (shadow_free.empty()) {
+          ASSERT_FALSE(f.has_value());
+          continue;
+        }
+        ASSERT_TRUE(f.has_value());
+        ASSERT_EQ(*f, shadow_free.back());
+        shadow_free.pop_back();
+        owned.push_back(*f);
+        EXPECT_EQ(frames.frame(*f).owner, 1);
+        EXPECT_EQ(frames.frame(*f).vpage, step);
+      } else if (r < 0.97 && !owned.empty()) {
+        const auto i = static_cast<std::size_t>(rng.next_below(owned.size()));
+        const FrameNum f = owned[i];
+        owned.erase(owned.begin() + static_cast<std::ptrdiff_t>(i));
+        frames.free(f);
+        shadow_free.push_back(f);
+        EXPECT_EQ(frames.frame(f).owner, kNoPid);
+      } else {
+        wire(rng.uniform_int(1, 3));
+      }
+      ASSERT_EQ(frames.free_frames(), std::ssize(shadow_free));
+      ASSERT_EQ(frames.wired_frames(), wired);
+      ASSERT_EQ(frames.used_frames(), std::ssize(owned));
+    }
+  }
 }
 
 TEST(FrameTable, MbToPagesRoundTrip) {

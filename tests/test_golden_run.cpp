@@ -147,7 +147,7 @@ TEST(GoldenRun, TracingDoesNotPerturbTheCounters) {
   // tracer records but never feeds back. Re-run one golden case with the
   // in-memory tracer and expect the exact same pinned numbers.
   ExperimentConfig config = golden_config("so/ao/ai/bg");
-  config.trace_json = "-";
+  config.trace_json = std::string("-");
   const RunOutcome out = run_gang(config);
   const Golden& want = kGolden[5].want;
   EXPECT_EQ(out.makespan, want.makespan);

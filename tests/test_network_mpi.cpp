@@ -86,8 +86,8 @@ struct MpiFixture : ::testing::Test {
       auto program = std::make_unique<IterativeProgram>(
           std::vector<Op>{},
           std::vector<Op>{Op::comm_op(CommOp{type, bytes})}, iters);
-      procs.push_back(std::make_unique<Process>("r" + std::to_string(r), pid,
-                                                std::move(program)));
+      procs.push_back(std::make_unique<Process>(
+          std::to_string(r).insert(0, 1, 'r'), pid, std::move(program)));
       node.cpu().attach(*procs.back());
       comm->bind(r, *procs.back(), r);
       comm->install_exclusive(node.cpu());

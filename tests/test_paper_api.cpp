@@ -114,14 +114,15 @@ TEST_F(PaperApiFixture, SelectivePageOutEliminatesFalseEvictions) {
     GangScheduler scheduler(local, params);
     std::vector<std::unique_ptr<Process>> procs;
     for (int j = 0; j < 2; ++j) {
-      Job& job = scheduler.create_job("j" + std::to_string(j));
+      Job& job = scheduler.create_job(std::to_string(j).insert(0, 1, 'j'));
       SweepOptions options;
       options.pages = mb_to_pages(14.0);
       options.iterations = 1200;
       options.compute_per_touch = 15 * kMicrosecond;
       const Pid pid = local.node(0).vmm().create_process(options.pages);
-      procs.push_back(std::make_unique<Process>("j" + std::to_string(j), pid,
-                                                make_sweep_program(options)));
+      procs.push_back(std::make_unique<Process>(
+          std::to_string(j).insert(0, 1, 'j'), pid,
+          make_sweep_program(options)));
       local.node(0).cpu().attach(*procs.back());
       job.add_process(0, *procs.back());
     }
@@ -152,14 +153,15 @@ TEST_F(PaperApiFixture, AdaptiveSwitchIsFasterEndToEnd) {
     GangScheduler scheduler(local, params);
     std::vector<std::unique_ptr<Process>> procs;
     for (int j = 0; j < 2; ++j) {
-      Job& job = scheduler.create_job("j" + std::to_string(j));
+      Job& job = scheduler.create_job(std::to_string(j).insert(0, 1, 'j'));
       SweepOptions options;
       options.pages = mb_to_pages(14.0);
       options.iterations = 1200;
       options.compute_per_touch = 15 * kMicrosecond;
       const Pid pid = local.node(0).vmm().create_process(options.pages);
-      procs.push_back(std::make_unique<Process>("j" + std::to_string(j), pid,
-                                                make_sweep_program(options)));
+      procs.push_back(std::make_unique<Process>(
+          std::to_string(j).insert(0, 1, 'j'), pid,
+          make_sweep_program(options)));
       local.node(0).cpu().attach(*procs.back());
       job.add_process(0, *procs.back());
     }

@@ -49,7 +49,8 @@ RunArtifacts run_stressed(const PolicySet& policy, std::uint64_t seed) {
     const Pid pid = artifacts.cluster->node(0).vmm().create_process(
         spec.footprint_pages(1));
     artifacts.procs.push_back(std::make_unique<Process>(
-        "j" + std::to_string(j), pid, build_npb_program(spec, options)));
+        std::to_string(j).insert(0, 1, 'j'), pid,
+        build_npb_program(spec, options)));
     artifacts.cluster->node(0).cpu().attach(*artifacts.procs.back());
     job.add_process(0, *artifacts.procs.back());
   }
@@ -173,7 +174,7 @@ ParallelArtifacts run_parallel_stressed(const PolicySet& policy,
       const Pid pid = artifacts.cluster->node(n).vmm().create_process(
           spec.footprint_pages(kNodes));
       artifacts.procs.push_back(std::make_unique<Process>(
-          "p" + std::to_string(j) + ":" + std::to_string(n), pid,
+          std::to_string(j).insert(0, 1, 'p') + ":" + std::to_string(n), pid,
           build_npb_program(spec, options)));
       artifacts.cluster->node(n).cpu().attach(*artifacts.procs.back());
       comm->bind(n, *artifacts.procs.back(), n);
