@@ -385,6 +385,7 @@ void GangScheduler::fail_job(Job& job) {
   if (job.done()) return;
   job.mark_failed(cluster_.sim().now());
   ++stats_.jobs_failed;
+  suspended_.erase(job.id());  // an in-flight staging ends superseded
   for (const auto& placement : job.processes()) {
     const auto ni = static_cast<std::size_t>(placement.node);
     if (!node_dead_[ni]) {
@@ -444,6 +445,9 @@ void GangScheduler::handle_node_failure(int node) {
 
 void GangScheduler::suspend_job(Job& job) {
   assert(!job.done());
+  auto [it, fresh] = suspended_.try_emplace(job.id());
+  it->second.reset();  // a casualty supersedes the in-flight staging
+  if (!fresh) return;  // already out of the rotation
   for (const auto& placement : job.processes()) {
     const auto ni = static_cast<std::size_t>(placement.node);
     if (!node_dead_[ni]) {
@@ -461,10 +465,6 @@ void GangScheduler::suspend_job(Job& job) {
 void GangScheduler::resume_restarted_job(Job& job) {
   assert(!job.done());
   ++stats_.jobs_recovered;
-  for (const auto& placement : job.processes()) {
-    pagers_[static_cast<std::size_t>(placement.node)]->register_process(
-        placement.process->pid());
-  }
   policy_->readmit(job);
   reschedule();
 }
@@ -501,10 +501,20 @@ void GangScheduler::reschedule() {
 }
 
 // ---------------------------------------------------------------------------
-// Inter-node job migration
+// Inter-node job migration and image staging
+
+namespace {
+
+/// Network bytes of one shipped rank image: its live pages plus one page
+/// of metadata.
+std::int64_t shipped_bytes(const Vmm::ImageSnapshot& image) {
+  return (image.live_pages + 1) * kPageBytes;
+}
+
+}  // namespace
 
 bool GangScheduler::migrate_job(Job& job, const std::vector<int>& targets) {
-  if (!started_ || job.done() || migrations_.contains(job.id())) return false;
+  if (!started_ || job.done() || suspended_.contains(job.id())) return false;
   const auto& placements = job.processes();
   if (placements.empty() || targets.size() != placements.size()) return false;
   // A parallel job needs its communicator re-homed; without a resolver only
@@ -526,24 +536,19 @@ bool GangScheduler::migrate_job(Job& job, const std::vector<int>& targets) {
   }
   // Snapshot the live images and check the targets can hold them before
   // tearing anything down.
-  auto mig = std::make_shared<Migration>();
-  mig->to = targets;
-  std::vector<Vmm::ImageSnapshot> snaps;
-  std::vector<std::int64_t> num_pages;
-  snaps.reserve(placements.size());
+  std::vector<Vmm::ImageSnapshot> snaps(placements.size());
+  std::vector<StagedRank> ranks(placements.size());
   std::vector<std::int64_t> swap_need(
       static_cast<std::size_t>(cluster_.size()), 0);
-  for (const auto& pl : placements) {
-    mig->from.push_back(pl.node);
-    const Pid pid = pl.process->pid();
-    auto& vmm = cluster_.node(pl.node).vmm();
-    num_pages.push_back(vmm.space(pid).num_pages());
-    snaps.push_back(vmm.snapshot_image(pid));
-    swap_need[static_cast<std::size_t>(
-        targets[snaps.size() - 1])] += snaps.back().live_pages;
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    const Pid pid = placements[i].process->pid();
+    auto& vmm = cluster_.node(placements[i].node).vmm();
+    snaps[i] = vmm.snapshot_image(pid);
+    ranks[i] = {targets[i], placements[i].node, vmm.space(pid).num_pages(),
+                &snaps[i]};
+    swap_need[static_cast<std::size_t>(targets[i])] += snaps[i].live_pages;
   }
   for (int n = 0; n < cluster_.size(); ++n) {
-    if (swap_need[static_cast<std::size_t>(n)] == 0) continue;
     if (cluster_.node(n).swap().free_slots() <
         swap_need[static_cast<std::size_t>(n)]) {
       return false;
@@ -552,118 +557,135 @@ bool GangScheduler::migrate_job(Job& job, const std::vector<int>& targets) {
   // Point of no return: take the job out of the rotation (kills the stopped
   // processes and releases the source spaces) and ship the images.
   suspend_job(job);
-  migrations_[job.id()] = mig;
-  mig->pid.assign(placements.size(), kNoPid);
-  mig->slots.resize(placements.size());
-  mig->outstanding = 1;  // submission sentinel
-  const int job_id = job.id();
-  for (std::size_t i = 0; i < placements.size(); ++i) {
-    auto& node = cluster_.node(targets[i]);
-    mig->pid[i] = node.vmm().create_process(num_pages[i]);
-    const auto& snap = snaps[i];
-    if (snap.live_pages > 0) {
-      mig->slots[i] = node.swap().alloc_pages(snap.live_pages, 64);
-      node.vmm().bind_swap_image(mig->pid[i], snap.live, mig->slots[i]);
-    }
+  for (const auto& snap : snaps) {
     stats_.migrated_pages += static_cast<std::uint64_t>(snap.live_pages);
-    // The image crosses the network as one transfer per rank (page data
-    // plus one page of metadata), then lands in the target swap partition
-    // as real foreground I/O.
-    const std::int64_t bytes = (snap.live_pages + 1) * kPageBytes;
-    stats_.migration_bytes += static_cast<std::uint64_t>(bytes);
-    ++mig->outstanding;
-    const int target = targets[i];
-    const std::size_t rank = i;
-    cluster_.network().send(
-        mig->from[i], target, bytes, [this, job_id, mig, target, rank] {
-          // Delivered: write the staged runs to the target swap.
-          if (node_dead_[static_cast<std::size_t>(target)] ||
-              mig->slots[rank].empty()) {
-            migration_step_done(job_id);
-            return;
-          }
-          for (const SlotRun& run : mig->slots[rank]) {
-            ++mig->outstanding;
-            cluster_.node(target).swap().write(
-                run, IoPriority::kForeground,
-                [this, job_id, mig](IoResult result) {
-                  if (!result.ok) mig->failed = true;
-                  migration_step_done(job_id);
-                });
-          }
-          migration_step_done(job_id);  // drop the delivery token
-        });
+    stats_.migration_bytes += static_cast<std::uint64_t>(shipped_bytes(snap));
   }
-  migration_step_done(job_id);  // drop the submission sentinel
-  return true;
-}
-
-void GangScheduler::migration_step_done(int job_id) {
-  const auto it = migrations_.find(job_id);
-  if (it == migrations_.end()) return;
-  const std::shared_ptr<Migration> mig = it->second;
-  if (--mig->outstanding > 0) return;
-  migrations_.erase(it);
-  Job& job = *jobs_[static_cast<std::size_t>(job_id)];
-  if (job.done()) {
-    // The job was failed while its image was in flight (e.g. a source-node
-    // crash handled by handle_node_failure): drop the staged spaces.
-    release_migration_staging(*mig);
-    ++stats_.migrations_failed;
-    return;
-  }
-  for (int target : mig->to) {
-    if (node_dead_[static_cast<std::size_t>(target)]) {
-      // A target died mid-flight: the image is gone; the job cannot resume.
-      release_migration_staging(*mig);
-      ++stats_.migrations_failed;
-      fail_job(job);
+  stage_job(job, ranks, 64, [this, &job](StagingEnd end, int) {
+    if (end == StagingEnd::kStaged) {
+      ++stats_.jobs_migrated;
+      const int home = job.processes().front().node;
+      cluster_.node(home).vmm().log().info(
+          "job %d migrated onto node %d; resuming", job.id(), home);
+      policy_->readmit(job);
       reschedule();
       return;
     }
-  }
-  if (mig->failed) {
-    release_migration_staging(*mig);
     ++stats_.migrations_failed;
-    fail_job(job);
+    if (end == StagingEnd::kSuperseded) return;  // failed or restarting
+    fail_job(job);  // the image did not land; the job cannot resume
     reschedule();
+  });
+  return true;
+}
+
+bool GangScheduler::stage_job(Job& job, const std::vector<StagedRank>& ranks,
+                              std::int64_t max_run, StagingDone done) {
+  assert(suspended_.contains(job.id()) && !suspended_.at(job.id()));
+  assert(ranks.size() == job.processes().size());
+  auto st = std::make_shared<Staging>();
+  for (const StagedRank& rank : ranks) st->to.push_back(rank.target);
+  st->pid.assign(ranks.size(), kNoPid);
+  st->slots.resize(ranks.size());
+  st->done = std::move(done);
+  // Synchronous phase: create a fresh space per rank on its target and bind
+  // the image pages to freshly allocated swap slots. Nothing here schedules
+  // an event, so staging every rank before the first transfer keeps the
+  // event order of staging them one by one.
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const StagedRank& rank = ranks[i];
+    auto& node = cluster_.node(rank.target);
+    st->pid[i] = node.vmm().create_process(rank.num_pages);
+    const std::int64_t live = rank.image->live_pages;
+    if (live == 0) continue;
+    if (node.swap().free_slots() < live) {
+      release_staged(*st);
+      st->done(StagingEnd::kFailed, rank.target);
+      return false;
+    }
+    st->slots[i] = node.swap().alloc_pages(live, max_run);
+    node.vmm().bind_swap_image(st->pid[i], rank.image->live, st->slots[i]);
+  }
+  suspended_[job.id()] = st;
+  // Submit phase: each image lands in its target's swap partition as real
+  // foreground I/O, after crossing the network when it is shipped; demand
+  // paging then pays the major faults as the job re-touches its pages.
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const int target = st->to[i];
+    auto write_runs = [this, &job, st, target, i] {
+      for (const SlotRun& run : st->slots[i]) {
+        ++st->outstanding;
+        cluster_.node(target).swap().write(
+            run, IoPriority::kForeground,
+            [this, &job, st, target](IoResult result) {
+              if (!result.ok && st->failed_node < 0) st->failed_node = target;
+              staging_step_done(job, st);
+            });
+      }
+    };
+    if (ranks[i].from < 0) {
+      write_runs();
+      continue;
+    }
+    ++st->outstanding;
+    cluster_.network().send(
+        ranks[i].from, target, shipped_bytes(*ranks[i].image),
+        [this, &job, st, target, write_runs] {
+          // Delivered: write the staged runs to the target swap.
+          if (!node_dead_[static_cast<std::size_t>(target)]) write_runs();
+          staging_step_done(job, st);  // drop the delivery token
+        });
+  }
+  staging_step_done(job, st);  // drop the submission sentinel
+  return true;
+}
+
+void GangScheduler::staging_step_done(Job& job,
+                                      const std::shared_ptr<Staging>& st) {
+  if (--st->outstanding > 0) return;
+  const auto it = suspended_.find(job.id());
+  if (it == suspended_.end() || it->second != st) {
+    // The job was failed, or a casualty suspended it again, while its
+    // image was in flight: drop the staged spaces.
+    release_staged(*st);
+    st->done(StagingEnd::kSuperseded, -1);
     return;
   }
-  finish_migration(job, *mig);
-}
-
-void GangScheduler::release_migration_staging(const Migration& mig) {
-  for (std::size_t i = 0; i < mig.pid.size(); ++i) {
-    if (mig.pid[i] == kNoPid) continue;
-    const int node_index = mig.to[i];
-    if (node_dead_[static_cast<std::size_t>(node_index)]) continue;
-    auto& vmm = cluster_.node(node_index).vmm();
-    if (vmm.space(mig.pid[i]).alive()) vmm.release_process(mig.pid[i]);
+  int failed = st->failed_node;
+  for (std::size_t i = 0; i < st->to.size() && failed < 0; ++i) {
+    if (node_dead_[static_cast<std::size_t>(st->to[i])]) failed = st->to[i];
   }
-}
-
-void GangScheduler::finish_migration(Job& job, const Migration& mig) {
+  if (failed >= 0) {
+    release_staged(*st);
+    it->second.reset();  // still suspended, nothing in flight
+    st->done(StagingEnd::kFailed, failed);
+    return;
+  }
+  suspended_.erase(it);
   MpiComm* comm = comm_of_ ? comm_of_(job.id()) : nullptr;
   const auto& placements = job.processes();
   for (std::size_t i = 0; i < placements.size(); ++i) {
     Process& p = *placements[i].process;
     // Re-home the process: off the old CPU, onto its target, under the
-    // staged address space. adopt() leaves the op cursor untouched — unlike
-    // a checkpoint restart nothing rewinds; the job continues exactly where
-    // its SIGSTOP left it, paying major faults to pull its pages back in.
+    // staged address space, with a fresh run generation (adopt) so stale
+    // continuations from its previous life are dropped. adopt() leaves the
+    // program cursor untouched; a restore rewinds it afterwards.
     cluster_.node(placements[i].node).cpu().detach(p);
-    job.move_process(i, mig.to[i]);
-    cluster_.node(mig.to[i]).cpu().adopt(p, mig.pid[i]);
-    pagers_[static_cast<std::size_t>(mig.to[i])]->register_process(mig.pid[i]);
-    if (comm != nullptr) comm->rebind_node(p.rank, mig.to[i]);
+    job.move_process(i, st->to[i]);
+    cluster_.node(st->to[i]).cpu().adopt(p, st->pid[i]);
+    pagers_[static_cast<std::size_t>(st->to[i])]->register_process(st->pid[i]);
+    if (comm != nullptr) comm->rebind_node(p.rank, st->to[i]);
   }
-  ++stats_.jobs_migrated;
-  cluster_.node(mig.to.front())
-      .vmm()
-      .log()
-      .info("job %d migrated onto node %d; resuming", job.id(), mig.to.front());
-  policy_->readmit(job);
-  reschedule();
+  st->done(StagingEnd::kStaged, -1);
+}
+
+void GangScheduler::release_staged(const Staging& st) {
+  // A crashed node released its spaces itself.
+  for (std::size_t i = 0; i < st.pid.size(); ++i) {
+    if (st.pid[i] == kNoPid) continue;
+    auto& vmm = cluster_.node(st.to[i]).vmm();
+    if (vmm.space(st.pid[i]).alive()) vmm.release_process(st.pid[i]);
+  }
 }
 
 bool GangScheduler::all_finished() const {

@@ -38,9 +38,9 @@ class RecoveryHook {
 
   /// A job is about to be failed (\p reason: node crash, lost page, ...).
   /// Return true to take ownership — the scheduler then leaves the job
-  /// unfailed and expects suspend_job()/resume_restarted_job() (or
-  /// abandon_job() on give-up) to be driven by the hook. Return false to
-  /// let the scheduler fail the job as usual.
+  /// unfailed and expects suspend_job(), stage_job() and
+  /// resume_restarted_job() (or abandon_job() on give-up) to be driven by
+  /// the hook. Return false to let the scheduler fail the job as usual.
   virtual bool on_job_casualty(Job& job, const char* reason) = 0;
 };
 
@@ -167,12 +167,12 @@ class GangScheduler : private SchedContext {
 
   /// Take an unfinished job out of the rotation without failing it: kill
   /// and release its processes on surviving nodes, leaving the job eligible
-  /// for resume_restarted_job(). Counterpart of fail_job minus the verdict.
+  /// for stage_job(). Counterpart of fail_job minus the verdict. Suspending
+  /// a suspended job only supersedes its in-flight staging, if any.
   void suspend_job(Job& job);
 
-  /// Put a restored job back into the rotation: re-register its (possibly
-  /// re-placed) processes with the pagers, re-assign it in the matrix, and
-  /// reschedule. The checkpoint manager calls this once staging completed.
+  /// Put a restored job, re-homed by stage_job(), back into the rotation
+  /// and reschedule.
   void resume_restarted_job(Job& job);
 
   /// Give up on a suspended job whose restart cannot proceed (no feasible
@@ -188,29 +188,62 @@ class GangScheduler : private SchedContext {
 
   // ---- inter-node job migration ----
 
-  /// Resolver from job id to the job's communicator, so migration can
-  /// re-home ranks (mirrors CheckpointManager::set_comm_resolver). Without
-  /// one, only single-rank jobs migrate.
+  /// Resolver from job id to the job's communicator, so stage_job() can
+  /// rebind the ranks it re-homes, for migrations and restores alike.
+  /// Without one, only single-rank jobs migrate.
   void set_comm_resolver(std::function<MpiComm*(int)> resolver) {
     comm_of_ = std::move(resolver);
   }
 
   /// Migrate \p job so placement i lands on targets[i]: snapshot each
-  /// rank's live pages, take the job out of the rotation (suspend), ship
-  /// the images through the network model, stage them into the target swap
-  /// partitions as foreground I/O, re-home the processes (Cpu::adopt) and
-  /// hand the job back to the policy (readmit). Demand paging then pays the
-  /// major faults as the job re-touches its pages — the realistic cost of a
-  /// migration. Returns false (and does nothing) unless every process is
-  /// SIGSTOPped with no collective partially entered, all nodes involved
-  /// are alive, and the targets have swap room; policies call this through
-  /// SchedContext::request_migration.
+  /// rank's live pages, take the job out of the rotation (suspend), stage
+  /// the images onto the targets, shipped through the network model first
+  /// (stage_job), and hand the job back to the policy (readmit). Demand
+  /// paging then pays the major faults as the job re-touches its pages —
+  /// the realistic cost of a migration. An aborted staging fails the job.
+  /// Returns false (and does nothing) unless every process is SIGSTOPped
+  /// with no collective
+  /// partially entered, all nodes involved are alive, and the targets have
+  /// swap room; policies call this through SchedContext::request_migration.
   bool migrate_job(Job& job, const std::vector<int>& targets);
 
-  /// True while a migration of \p job is in flight.
-  [[nodiscard]] bool migrating(const Job& job) const {
-    return migrations_.contains(job.id());
+  /// True while \p job is out of the rotation between suspend_job() and the
+  /// end of its re-home (a migration or a checkpoint restore).
+  [[nodiscard]] bool suspended(const Job& job) const {
+    return suspended_.contains(job.id());
   }
+
+  // ---- image staging: the path migration and restore share ----
+
+  /// One rank of a page image to stage.
+  struct StagedRank {
+    int target = -1;  ///< node the rank moves to
+    int from = -1;    ///< ship the image from this node first; -1 = local
+    std::int64_t num_pages = 0;                 ///< size of the new space
+    const Vmm::ImageSnapshot* image = nullptr;  ///< live page runs to bind
+  };
+  /// How a staging ended. Unless kStaged, the staged spaces are released.
+  enum class StagingEnd : std::uint8_t {
+    kStaged,      ///< every transfer landed; the processes are re-homed
+    kFailed,      ///< a target lacked swap room, died, or failed a write
+    kSuperseded,  ///< the job failed, or a casualty suspended it again
+  };
+  using StagingDone = std::function<void(StagingEnd, int node)>;
+
+  /// Stage a suspended job's page image onto new nodes, then re-home its
+  /// processes there. Per rank: a fresh address space on the target, its
+  /// image bound to new swap slots (runs of at most \p max_run). The
+  /// transfers go out in rank and run order under one outstanding count;
+  /// a shipped rank first crosses the network as one message (live pages
+  /// plus a page of metadata), then each run is a foreground swap write.
+  /// Once all landed, each process moves (Cpu::detach, Job::move_process,
+  /// Cpu::adopt, pager registration, communicator rebind; program state
+  /// untouched) and done(kStaged, -1) runs: the caller readmits the job.
+  /// Else done gets kFailed with the node at fault, or kSuperseded. A job
+  /// has at most one staging in flight. Returns false when a target's swap
+  /// could not hold its image: done(kFailed) ran and nothing was sent.
+  bool stage_job(Job& job, const std::vector<StagedRank>& ranks,
+                 std::int64_t max_run, StagingDone done);
 
   /// Attach the run's tracer (nullptr = untraced). Each delivered switch
   /// action emits, on the owning node's scheduler track, an async "switch"
@@ -252,16 +285,14 @@ class GangScheduler : private SchedContext {
     return migrate_job(job, targets);
   }
 
-  /// In-flight migration of one job (mirrors the checkpoint manager's
-  /// staging attempt: spaces created and swap slots bound up front, image
-  /// writes counted down, finalization re-homes the processes).
-  struct Migration {
-    std::vector<int> from;
-    std::vector<int> to;
-    std::vector<Pid> pid;                        ///< staged target pids
-    std::vector<std::vector<SlotRun>> slots;     ///< per-rank staged runs
-    int outstanding = 0;                         ///< network + I/O countdown
-    bool failed = false;
+  /// One in-flight stage_job().
+  struct Staging {
+    std::vector<int> to;                      ///< per rank target
+    std::vector<Pid> pid;                     ///< per rank staged space
+    std::vector<std::vector<SlotRun>> slots;  ///< per rank swap runs
+    int outstanding = 1;                      ///< transfers + submit sentinel
+    int failed_node = -1;                     ///< first failed write's target
+    StagingDone done;
   };
 
   void activate_slot(int to_slot);
@@ -283,9 +314,10 @@ class GangScheduler : private SchedContext {
   void schedule_switch_timer(int slot);
   void schedule_bg_start(int slot);
   void on_job_finished(Job& job);
-  void migration_step_done(int job_id);
-  void finish_migration(Job& job, const Migration& mig);
-  void release_migration_staging(const Migration& mig);
+  /// Count down one staging transfer; the last one ends the staging.
+  void staging_step_done(Job& job, const std::shared_ptr<Staging>& st);
+  /// Release the staged spaces that are still alive.
+  void release_staged(const Staging& st);
   [[nodiscard]] SimDuration slot_quantum(int slot) const;
 
   Cluster& cluster_;
@@ -297,7 +329,9 @@ class GangScheduler : private SchedContext {
   /// under co-scheduling policies).
   std::vector<std::vector<Job*>> running_jobs_;
   ScheduleMatrix matrix_;
-  std::map<int, std::shared_ptr<Migration>> migrations_;  ///< by job id
+  /// Suspended jobs by id, each with its in-flight staging (null while
+  /// none is in flight).
+  std::map<int, std::shared_ptr<Staging>> suspended_;
   std::function<MpiComm*(int)> comm_of_;
   int current_slot_ = -1;
   EventHandle switch_event_;

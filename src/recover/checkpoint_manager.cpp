@@ -25,7 +25,7 @@ void CheckpointManager::start() {
   ckpt_cursor_.assign(static_cast<std::size_t>(cluster_.size()), 0);
   for (const auto& job : sched_.jobs()) {
     JobState& st = states_[static_cast<std::size_t>(job->id())];
-    st.out_baseline.assign(job->processes().size(), 0);
+    st.out_baseline.assign(job->processes().size(), {});
     if (job->done()) continue;
     // Epoch-0 image: a from-scratch restart is available immediately, so a
     // crash before the first periodic checkpoint still gets a recovery
@@ -54,8 +54,11 @@ void CheckpointManager::tick() {
   settle_defers_ = 0;
   for (const auto& job : sched_.jobs()) {
     JobState& st = state_of(*job);
-    if (job->done() || st.restoring || st.ckpt_in_flight || !st.checkpointable)
+    // A suspended job (restoring, or migrating) has no live image to take.
+    if (job->done() || sched_.suspended(*job) || st.ckpt_in_flight ||
+        !st.checkpointable) {
       continue;
+    }
     checkpoint_job(*job, st);
   }
   arm_tick();
@@ -128,12 +131,16 @@ void CheckpointManager::write_image(Job& job, JobState& st, JobImage img) {
     const RankImage& rank = img.ranks[i];
     std::int64_t pages = rank.mem.live_pages;
     if (params_.incremental && st.image.valid && st.image.taken_at >= 0) {
-      const auto& sp = cluster_.node(placements[i].node)
-                           .vmm()
-                           .space(placements[i].process->pid())
-                           .stats();
+      const int node = placements[i].node;
+      const Pid pid = placements[i].process->pid();
+      const auto& sp = cluster_.node(node).vmm().space(pid).stats();
+      // A space the baseline was not read from (a restore or a migration
+      // created it since) has swapped out nothing before this image.
+      const SwapOutBaseline& base = st.out_baseline[i];
+      const std::uint64_t since =
+          base.node == node && base.pid == pid ? base.pages : 0;
       const auto delta = static_cast<std::int64_t>(sp.pages_swapped_out) -
-                         static_cast<std::int64_t>(st.out_baseline[i]);
+                         static_cast<std::int64_t>(since);
       pages = std::min(pages,
                        rank.mem.dirty_pages + std::max<std::int64_t>(delta, 0));
     }
@@ -249,11 +256,11 @@ void CheckpointManager::finish_ckpt_write(
       batch->raw_pages * static_cast<std::uint64_t>(kPageBytes);
   const auto& placements = job.processes();
   for (std::size_t i = 0; i < placements.size(); ++i) {
-    st.out_baseline[i] = cluster_.node(placements[i].node)
-                             .vmm()
-                             .space(placements[i].process->pid())
-                             .stats()
-                             .pages_swapped_out;
+    const int node = placements[i].node;
+    const Pid pid = placements[i].process->pid();
+    st.out_baseline[i] = {
+        node, pid,
+        cluster_.node(node).vmm().space(pid).stats().pages_swapped_out};
   }
 }
 
@@ -263,8 +270,9 @@ bool CheckpointManager::on_job_casualty(Job& job, const char* reason) {
   if (job.done()) return false;
   if (st.restoring) {
     // A second casualty mid-restore (e.g. a staging target crashed).
-    // Invalidate the in-flight attempt — its completions will release any
+    // Supersede the in-flight staging — its completions will release the
     // staged spaces — and replan from scratch once this event settles.
+    sched_.suspend_job(job);
     ++st.gen;
     const std::uint64_t gen = st.gen;
     cluster_.sim().after(0, [this, &job, gen] {
@@ -350,110 +358,49 @@ void CheckpointManager::plan_and_stage(Job& job) {
     give_up_restore(job, st, "no feasible placement on surviving nodes");
     return;
   }
-  stage(job, st, std::move(*plan));
+  stage(job, st, *plan);
 }
 
 void CheckpointManager::stage(Job& job, JobState& st,
-                              std::vector<int> targets) {
-  auto attempt = std::make_shared<StageAttempt>();
-  attempt->gen = st.gen;
-  attempt->target = std::move(targets);
-  const std::size_t nranks = st.image.ranks.size();
-  attempt->pid.assign(nranks, kNoPid);
-  attempt->slots.resize(nranks);
-  // Synchronous phase: create a fresh space per rank on its target and bind
-  // the image pages to freshly allocated swap slots.
-  for (std::size_t i = 0; i < nranks; ++i) {
+                              const std::vector<int>& targets) {
+  std::vector<GangScheduler::StagedRank> ranks;
+  ranks.reserve(st.image.ranks.size());
+  for (std::size_t i = 0; i < st.image.ranks.size(); ++i) {
     const RankImage& rank = st.image.ranks[i];
-    auto& node = cluster_.node(attempt->target[i]);
-    attempt->pid[i] = node.vmm().create_process(rank.num_pages);
-    if (rank.mem.live_pages == 0) continue;
-    if (node.swap().free_slots() < rank.mem.live_pages) {
-      // The planner saw enough slots but a concurrent consumer raced us:
-      // treat it like a staging failure of that node and replan without it.
-      release_staged(*attempt);
-      fail_staging_node(job, st, attempt->target[i]);
-      return;
-    }
-    attempt->slots[i] =
-        node.swap().alloc_pages(rank.mem.live_pages, params_.max_io_run);
-    node.vmm().bind_swap_image(attempt->pid[i], rank.mem.live,
-                               attempt->slots[i]);
+    ranks.push_back({targets[i], -1, rank.num_pages, &rank.mem});
   }
-  // Submit phase: the image lands in the target swap partitions as real
-  // foreground I/O; demand paging then pays the major faults as the job
-  // re-touches its pages.
-  std::uint64_t total_pages = 0;
-  for (std::size_t i = 0; i < nranks; ++i) {
-    const int target = attempt->target[i];
-    for (const SlotRun& run : attempt->slots[i]) {
-      ++attempt->outstanding;
-      total_pages += static_cast<std::uint64_t>(run.count);
-      cluster_.node(target).swap().write(
-          run, IoPriority::kForeground,
-          [this, &job, attempt, target](IoResult result) {
-            if (!result.ok && !attempt->failed) {
-              attempt->failed = true;
-              attempt->failed_node = target;
-            }
-            stage_complete(job, attempt);
-          });
-    }
-  }
-  stats_.pages_staged += total_pages;
-  stage_complete(job, attempt);  // drop the submission sentinel
-}
-
-void CheckpointManager::stage_complete(
-    Job& job, const std::shared_ptr<StageAttempt>& attempt) {
-  if (--attempt->outstanding > 0) return;
-  JobState& st = state_of(job);
-  if (st.gen != attempt->gen || job.done() || !st.restoring) {
-    release_staged(*attempt);  // superseded mid-flight
-    return;
-  }
-  if (attempt->failed) {
-    release_staged(*attempt);
-    fail_staging_node(job, st, attempt->failed_node);
-    return;
-  }
-  finish_restore(job, st, *attempt);
-}
-
-void CheckpointManager::release_staged(const StageAttempt& attempt) {
-  for (std::size_t i = 0; i < attempt.pid.size(); ++i) {
-    if (attempt.pid[i] == kNoPid) continue;
-    const int node_index = attempt.target[i];
-    if (!cluster_.node_alive(node_index)) continue;  // crash tore it down
-    auto& vmm = cluster_.node(node_index).vmm();
-    if (vmm.space(attempt.pid[i]).alive()) vmm.release_process(attempt.pid[i]);
+  using End = GangScheduler::StagingEnd;
+  const bool sent = sched_.stage_job(
+      job, ranks, params_.max_io_run, [this, &job](End end, int node) {
+        JobState& s = state_of(job);
+        if (end == End::kStaged) {
+          finish_restore(job, s);
+        } else if (end == End::kFailed) {
+          // Also when the planner saw enough swap slots but a concurrent
+          // consumer raced us: replan without the node.
+          cluster_.node(job.processes().front().node)
+              .vmm()
+              .log()
+              .warn("job %d image staging failed on node %d; replanning "
+                    "without it",
+                    job.id(), node);
+          s.bad_nodes.insert(node);
+          plan_and_stage(job);
+        }
+      });
+  if (sent) {
+    stats_.pages_staged +=
+        static_cast<std::uint64_t>(st.image.total_live_pages());
   }
 }
 
-void CheckpointManager::fail_staging_node(Job& job, JobState& st, int node) {
-  cluster_.node(job.processes().front().node)
-      .vmm()
-      .log()
-      .warn("job %d image staging failed on node %d; replanning without it",
-            job.id(), node);
-  st.bad_nodes.insert(node);
-  plan_and_stage(job);
-}
-
-void CheckpointManager::finish_restore(Job& job, JobState& st,
-                                       const StageAttempt& attempt) {
+void CheckpointManager::finish_restore(Job& job, JobState& st) {
+  // stage_job re-homed the processes; rewind each one to its image.
   MpiComm* comm = comm_of_ ? comm_of_(job.id()) : nullptr;
   const auto& placements = job.processes();
   for (std::size_t i = 0; i < placements.size(); ++i) {
     Process& p = *placements[i].process;
     const RankImage& rank = st.image.ranks[i];
-    // Re-home the process: off the old CPU, onto its target, under the
-    // staged address space, with a fresh run generation (adopt) so stale
-    // continuations from its previous life are dropped.
-    cluster_.node(placements[i].node).cpu().detach(p);
-    job.move_process(i, attempt.target[i]);
-    auto& cpu = cluster_.node(attempt.target[i]).cpu();
-    cpu.adopt(p, attempt.pid[i]);
     const bool ok = p.program().restore_cursor(rank.cursor);
     assert(ok && "a checkpointable program must accept its own cursor");
     (void)ok;
@@ -461,15 +408,11 @@ void CheckpointManager::finish_restore(Job& job, JobState& st,
     p.op_active_ = rank.op_active;
     p.op_pos_ = rank.op_pos;
     if (p.op_active_ && p.current_op_.kind == Op::Kind::kAccess &&
-        cpu.params().batched_touch) {
+        cluster_.node(placements[i].node).cpu().params().batched_touch) {
       p.touch_plan_ = p.current_op_.access.prepare();
     }
-    if (comm != nullptr) comm->rebind_node(p.rank, attempt.target[i]);
   }
   if (comm != nullptr) comm->reset_for_restart(st.image.comm_seqs);
-  // The staged spaces start fully swapped: the next incremental image must
-  // size against a zero swap-out baseline of the new spaces.
-  st.out_baseline.assign(placements.size(), 0);
   st.restoring = false;
   st.bad_nodes.clear();
   st.restore_span.reset();

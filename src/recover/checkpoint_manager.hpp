@@ -69,7 +69,9 @@ class CheckpointManager : public RecoveryHook {
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
   /// Resolver from job id to its communicator (nullptr for single-rank
-  /// jobs). Install before start().
+  /// jobs), for the open-collective cut and the sequence rewind; restored
+  /// ranks are rebound through the scheduler's resolver
+  /// (GangScheduler::set_comm_resolver). Install before start().
   void set_comm_resolver(std::function<MpiComm*(int)> resolver) {
     comm_of_ = std::move(resolver);
   }
@@ -104,6 +106,14 @@ class CheckpointManager : public RecoveryHook {
   [[nodiscard]] int restarts_of(int job_id) const;
 
  private:
+  /// One rank's pages_swapped_out at the last commit, and the address
+  /// space it was read from.
+  struct SwapOutBaseline {
+    int node = -1;
+    Pid pid = kNoPid;
+    std::uint64_t pages = 0;
+  };
+
   struct JobState {
     JobImage image;
     bool checkpointable = true;
@@ -112,7 +122,7 @@ class CheckpointManager : public RecoveryHook {
     std::uint64_t gen = 0;  ///< attempt generation; bumps invalidate in-flight work
     int restarts = 0;
     std::set<int> bad_nodes;  ///< staging failed there during this restart
-    std::vector<std::uint64_t> out_baseline;  ///< pages_swapped_out at commit
+    std::vector<SwapOutBaseline> out_baseline;  ///< per rank
     std::shared_ptr<TraceSpan> restore_span;
   };
 
@@ -126,17 +136,6 @@ class CheckpointManager : public RecoveryHook {
     std::vector<std::shared_ptr<TraceSpan>> spans;
   };
 
-  /// Shared aggregate for one restore attempt's staging.
-  struct StageAttempt {
-    std::uint64_t gen = 0;
-    std::vector<int> target;                  ///< per rank
-    std::vector<Pid> pid;                     ///< per rank, on target node
-    std::vector<std::vector<SlotRun>> slots;  ///< per rank staging slots
-    int outstanding = 1;
-    bool failed = false;
-    int failed_node = -1;
-  };
-
   void arm_tick();
   void tick();
   void checkpoint_job(Job& job, JobState& st);
@@ -148,11 +147,10 @@ class CheckpointManager : public RecoveryHook {
 
   void begin_restore(Job& job, JobState& st, const char* reason);
   void plan_and_stage(Job& job);
-  void stage(Job& job, JobState& st, std::vector<int> targets);
-  void stage_complete(Job& job, const std::shared_ptr<StageAttempt>& attempt);
-  void release_staged(const StageAttempt& attempt);
-  void fail_staging_node(Job& job, JobState& st, int node);
-  void finish_restore(Job& job, JobState& st, const StageAttempt& attempt);
+  /// Stage the image onto \p targets through GangScheduler::stage_job.
+  void stage(Job& job, JobState& st, const std::vector<int>& targets);
+  /// Rewind the re-homed processes to the image and resume the job.
+  void finish_restore(Job& job, JobState& st);
   void give_up_restore(Job& job, JobState& st, const char* why);
 
   [[nodiscard]] double compression_ratio(int node) const;

@@ -22,6 +22,7 @@
 #include "harness/scenario.hpp"
 #include "mem/reclaim_gen.hpp"
 #include "mem/reclaim_registry.hpp"
+#include "outcome_compare.hpp"
 #include "workloads/generator.hpp"
 
 namespace apsim {
@@ -476,26 +477,6 @@ TEST(ControlRuns, AutotuneRunsTickAndAdjustUnderPressure) {
   }
 }
 
-/// RunOutcome equality on everything the control plane could disturb.
-void expect_same_run(const RunOutcome& a, const RunOutcome& b,
-                     const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.major_faults, b.major_faults);
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.pages_swapped_out, b.pages_swapped_out);
-  EXPECT_EQ(a.false_evictions, b.false_evictions);
-  EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.autotune_ticks, b.autotune_ticks);
-  EXPECT_EQ(a.autotune_adjustments, b.autotune_adjustments);
-  EXPECT_EQ(a.autotune_policy_switches, b.autotune_policy_switches);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
-    EXPECT_EQ(a.jobs[j].completion, b.jobs[j].completion);
-    EXPECT_EQ(a.jobs[j].major_faults, b.jobs[j].major_faults);
-  }
-}
-
 TEST(ControlRuns, AutotuneOffIsBitIdenticalToDefaultConfig) {
   const RunOutcome base = run_gang(small_config());
 
@@ -508,7 +489,8 @@ TEST(ControlRuns, AutotuneOffIsBitIdenticalToDefaultConfig) {
   config.autotune_policy = true;
   config.reclaim_policy = "clock-lru";
   const RunOutcome out = run_gang(config);
-  expect_same_run(base, out, "autotune off must be inert");
+  SCOPED_TRACE("autotune off must be inert");
+  expect_same_outcome(base, out);
   EXPECT_EQ(out.autotune_ticks, 0u);
   EXPECT_EQ(out.autotune_adjustments, 0u);
 }
@@ -566,9 +548,9 @@ TEST(ControlDeterminism, AutotunedSweepIsThreadCountIndependent) {
     const auto parallel = parallel_map<RunOutcome>(configs, fn, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_same_run(serial[i], parallel[i],
-                      "config " + std::to_string(i) + " at " +
-                          std::to_string(threads) + " threads");
+      SCOPED_TRACE("config " + std::to_string(i) + " at " +
+                   std::to_string(threads) + " threads");
+      expect_same_outcome(serial[i], parallel[i]);
     }
   }
 }

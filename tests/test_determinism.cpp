@@ -12,6 +12,7 @@
 
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
+#include "outcome_compare.hpp"
 
 namespace apsim {
 namespace {
@@ -53,52 +54,6 @@ std::vector<ExperimentConfig> sweep_configs() {
   return configs;
 }
 
-/// Everything in a RunOutcome that a run computes (the tracer pointer is
-/// compared structurally as "both null" since these configs don't trace).
-void expect_outcomes_equal(const RunOutcome& a, const RunOutcome& b,
-                           const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.label, b.label);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.makespan, b.makespan);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
-    const JobOutcome& ja = a.jobs[j];
-    const JobOutcome& jb = b.jobs[j];
-    EXPECT_EQ(ja.name, jb.name);
-    EXPECT_EQ(ja.completion, jb.completion);
-    EXPECT_EQ(ja.failed, jb.failed);
-    EXPECT_EQ(ja.major_faults, jb.major_faults);
-    EXPECT_EQ(ja.minor_faults, jb.minor_faults);
-    EXPECT_EQ(ja.pages_swapped_in, jb.pages_swapped_in);
-    EXPECT_EQ(ja.pages_swapped_out, jb.pages_swapped_out);
-    EXPECT_EQ(ja.false_evictions, jb.false_evictions);
-    EXPECT_EQ(ja.cpu_time, jb.cpu_time);
-    EXPECT_EQ(ja.fault_wait, jb.fault_wait);
-    EXPECT_EQ(ja.comm_wait, jb.comm_wait);
-  }
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.pages_swapped_out, b.pages_swapped_out);
-  EXPECT_EQ(a.major_faults, b.major_faults);
-  EXPECT_EQ(a.false_evictions, b.false_evictions);
-  EXPECT_EQ(a.pages_recorded, b.pages_recorded);
-  EXPECT_EQ(a.pages_replayed, b.pages_replayed);
-  EXPECT_EQ(a.bg_pages_written, b.bg_pages_written);
-  EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.tier_pool_hits, b.tier_pool_hits);
-  EXPECT_EQ(a.tier_pool_misses, b.tier_pool_misses);
-  EXPECT_EQ(a.tier_pages_stored, b.tier_pages_stored);
-  EXPECT_EQ(a.tier_bytes_stored, b.tier_bytes_stored);
-  EXPECT_EQ(a.tier_writeback_pages, b.tier_writeback_pages);
-  EXPECT_EQ(a.jobs_failed, b.jobs_failed);
-  EXPECT_EQ(a.nodes_failed, b.nodes_failed);
-  EXPECT_EQ(a.io_errors, b.io_errors);
-  EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.pages_unrecoverable, b.pages_unrecoverable);
-  EXPECT_EQ(a.signal_retransmits, b.signal_retransmits);
-  EXPECT_EQ(a.trace == nullptr, b.trace == nullptr);
-}
-
 TEST(Determinism, ParallelMapIsThreadCountIndependent) {
   const std::vector<ExperimentConfig> configs = sweep_configs();
   const std::function<RunOutcome(const ExperimentConfig&)> fn = run_config;
@@ -111,10 +66,11 @@ TEST(Determinism, ParallelMapIsThreadCountIndependent) {
         parallel_map<RunOutcome>(configs, fn, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_outcomes_equal(
-          serial[i], parallel[i],
-          "config " + std::to_string(i) + " (" + configs[i].describe() +
-              ") at " + std::to_string(threads) + " threads");
+      SCOPED_TRACE("config " + std::to_string(i) + " (" +
+                   configs[i].describe() + ") at " + std::to_string(threads) +
+                   " threads");
+      expect_same_outcome(serial[i], parallel[i]);
+      EXPECT_EQ(serial[i].trace == nullptr, parallel[i].trace == nullptr);
     }
   }
 }
@@ -126,7 +82,9 @@ TEST(Determinism, RepeatedSerialRunsAreIdentical) {
   const std::vector<RunOutcome> first = parallel_map<RunOutcome>(configs, fn, 1);
   const std::vector<RunOutcome> second = parallel_map<RunOutcome>(configs, fn, 1);
   for (std::size_t i = 0; i < first.size(); ++i) {
-    expect_outcomes_equal(first[i], second[i], "config " + std::to_string(i));
+    SCOPED_TRACE("config " + std::to_string(i));
+    expect_same_outcome(first[i], second[i]);
+    EXPECT_EQ(first[i].trace == nullptr, second[i].trace == nullptr);
   }
 }
 

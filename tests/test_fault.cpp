@@ -16,6 +16,7 @@
 #include "gang/gang_scheduler.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
+#include "outcome_compare.hpp"
 #include "workloads/generator.hpp"
 
 namespace apsim {
@@ -328,10 +329,7 @@ TEST(FaultRecovery, TransientDiskErrorsAreRetriedAndTheRunCompletes) {
 TEST(FaultRecovery, FaultFreeRunsAreBitIdenticalWithFaultCodeCompiledIn) {
   const RunOutcome a = run_gang(tiny_config());
   const RunOutcome b = run_gang(tiny_config());
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.pages_swapped_out, b.pages_swapped_out);
-  EXPECT_EQ(a.major_faults, b.major_faults);
+  expect_same_outcome(a, b);
   EXPECT_EQ(a.io_errors, 0u);
   EXPECT_EQ(a.io_retries, 0u);
   EXPECT_EQ(a.signal_retransmits, 0u);
@@ -343,11 +341,7 @@ TEST(FaultRecovery, SameSeedSameFaultsIsReproducible) {
   config.faults.add(FaultSpec::parse("signal_drop p=0.3"));
   const RunOutcome a = run_gang(config);
   const RunOutcome b = run_gang(config);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.io_errors, b.io_errors);
-  EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.signal_retransmits, b.signal_retransmits);
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
+  expect_same_outcome(a, b);
 }
 
 TEST(FaultRecovery, PersistentDiskFailureFailsJobsCleanly) {

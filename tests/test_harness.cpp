@@ -5,6 +5,7 @@
 
 #include "harness/figures.hpp"
 #include "harness/runner.hpp"
+#include "outcome_compare.hpp"
 
 namespace apsim {
 namespace {
@@ -126,8 +127,7 @@ TEST(Runner, ParallelRunsMatchSerialRuns) {
       configs, [](const ExperimentConfig& c) { return run_gang(c); }, 1);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
-    EXPECT_EQ(parallel[i].makespan, serial[i].makespan);
-    EXPECT_EQ(parallel[i].pages_swapped_in, serial[i].pages_swapped_in);
+    expect_same_outcome(parallel[i], serial[i]);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "mem/reclaim_gen.hpp"
+#include "outcome_compare.hpp"
 #include "reclaim_recorder.hpp"
 
 namespace apsim {
@@ -41,41 +42,6 @@ void expect_same_calls(const ReclaimLog& got, const ReclaimLog& want) {
   for (std::size_t i = 0; i < got.calls.size(); ++i) {
     ASSERT_EQ(got.calls[i], want.calls[i]) << "first diverging call: #" << i;
   }
-}
-
-void expect_same_outcome(const RunOutcome& a, const RunOutcome& b) {
-  EXPECT_EQ(a.makespan, b.makespan);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    SCOPED_TRACE("job " + std::to_string(i));
-    const JobOutcome& ja = a.jobs[i];
-    const JobOutcome& jb = b.jobs[i];
-    EXPECT_EQ(ja.completion, jb.completion);
-    EXPECT_EQ(ja.failed, jb.failed);
-    EXPECT_EQ(ja.major_faults, jb.major_faults);
-    EXPECT_EQ(ja.minor_faults, jb.minor_faults);
-    EXPECT_EQ(ja.pages_swapped_in, jb.pages_swapped_in);
-    EXPECT_EQ(ja.pages_swapped_out, jb.pages_swapped_out);
-    EXPECT_EQ(ja.false_evictions, jb.false_evictions);
-    EXPECT_EQ(ja.cpu_time, jb.cpu_time);
-    EXPECT_EQ(ja.fault_wait, jb.fault_wait);
-    EXPECT_EQ(ja.comm_wait, jb.comm_wait);
-    EXPECT_EQ(ja.arrival, jb.arrival);
-  }
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.pages_swapped_out, b.pages_swapped_out);
-  EXPECT_EQ(a.major_faults, b.major_faults);
-  EXPECT_EQ(a.false_evictions, b.false_evictions);
-  EXPECT_EQ(a.pages_recorded, b.pages_recorded);
-  EXPECT_EQ(a.pages_replayed, b.pages_replayed);
-  EXPECT_EQ(a.bg_pages_written, b.bg_pages_written);
-  EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.jobs_failed, b.jobs_failed);
-  EXPECT_EQ(a.disk_blocks_written, b.disk_blocks_written);
-  EXPECT_EQ(a.disk_blocks_read, b.disk_blocks_read);
-  EXPECT_EQ(a.autotune_ticks, b.autotune_ticks);
-  EXPECT_EQ(a.autotune_adjustments, b.autotune_adjustments);
-  EXPECT_EQ(a.autotune_policy_switches, b.autotune_policy_switches);
 }
 
 void expect_matches_oracles(const ExperimentConfig& config) {

@@ -19,6 +19,7 @@
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "net/mpi.hpp"
+#include "outcome_compare.hpp"
 #include "recover/checkpoint_manager.hpp"
 #include "tier/tier_manager.hpp"
 #include "workloads/generator.hpp"
@@ -327,25 +328,6 @@ TEST(RecoverEndToEnd, LostPagesStayFatalWithCheckpointingOff) {
 // ---------------------------------------------------------------------------
 // Bit-identity with checkpointing disabled, and determinism when enabled
 
-void expect_core_counters_equal(const RunOutcome& a, const RunOutcome& b) {
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.pages_swapped_out, b.pages_swapped_out);
-  EXPECT_EQ(a.major_faults, b.major_faults);
-  EXPECT_EQ(a.false_evictions, b.false_evictions);
-  EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.jobs_failed, b.jobs_failed);
-  EXPECT_EQ(a.io_errors, b.io_errors);
-  EXPECT_EQ(a.disk_blocks_written, b.disk_blocks_written);
-  EXPECT_EQ(a.disk_blocks_read, b.disk_blocks_read);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    EXPECT_EQ(a.jobs[i].completion, b.jobs[i].completion);
-    EXPECT_EQ(a.jobs[i].failed, b.jobs[i].failed);
-    EXPECT_EQ(a.jobs[i].cpu_time, b.jobs[i].cpu_time);
-  }
-}
-
 TEST(RecoverBitIdentity, DisabledCheckpointingLeavesRunsUntouched) {
   // With checkpoint_interval = 0 no manager is constructed; every other
   // recovery knob must be inert, even under faults.
@@ -361,7 +343,7 @@ TEST(RecoverBitIdentity, DisabledCheckpointingLeavesRunsUntouched) {
 
   const RunOutcome a = run_gang(plain);
   const RunOutcome b = run_gang(knobs);
-  expect_core_counters_equal(a, b);
+  expect_same_outcome(a, b);
   EXPECT_EQ(a.checkpoints_taken, 0u);
   EXPECT_EQ(a.bytes_checkpointed, 0u);
   EXPECT_EQ(a.jobs_recovered, 0);
@@ -374,13 +356,7 @@ TEST(RecoverDeterminism, CrashRecoveryRunsAreBitReproducible) {
   config.faults.add(FaultSpec::parse("ckpt_fault p=0.2"));
   const RunOutcome a = run_gang(config);
   const RunOutcome b = run_gang(config);
-  expect_core_counters_equal(a, b);
-  EXPECT_EQ(a.checkpoints_taken, b.checkpoints_taken);
-  EXPECT_EQ(a.ckpt_io_retries, b.ckpt_io_retries);
-  EXPECT_EQ(a.bytes_checkpointed, b.bytes_checkpointed);
-  EXPECT_EQ(a.pages_staged, b.pages_staged);
-  EXPECT_EQ(a.jobs_recovered, b.jobs_recovered);
-  EXPECT_EQ(a.lost_work_ms, b.lost_work_ms);
+  expect_same_outcome(a, b);
 }
 
 TEST(RecoverDeterminism, RecoverySweepIsThreadCountIndependent) {
@@ -405,10 +381,7 @@ TEST(RecoverDeterminism, RecoverySweepIsThreadCountIndependent) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("config " + std::to_string(i) + " at " +
                    std::to_string(threads) + " threads");
-      expect_core_counters_equal(serial[i], parallel[i]);
-      EXPECT_EQ(serial[i].checkpoints_taken, parallel[i].checkpoints_taken);
-      EXPECT_EQ(serial[i].jobs_recovered, parallel[i].jobs_recovered);
-      EXPECT_EQ(serial[i].lost_work_ms, parallel[i].lost_work_ms);
+      expect_same_outcome(serial[i], parallel[i]);
     }
   }
 }

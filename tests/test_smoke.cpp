@@ -6,6 +6,7 @@
 
 #include "harness/figures.hpp"
 #include "harness/runner.hpp"
+#include "outcome_compare.hpp"
 
 namespace apsim {
 namespace {
@@ -56,9 +57,7 @@ TEST(Smoke, AdaptivePolicyBeatsOriginalUnderMemoryStress) {
 TEST(Smoke, DeterministicAcrossRuns) {
   const RunOutcome a = run_gang(tiny_config(PolicySet::all()));
   const RunOutcome b = run_gang(tiny_config(PolicySet::all()));
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.pages_swapped_out, b.pages_swapped_out);
+  expect_same_outcome(a, b);
 }
 
 }  // namespace

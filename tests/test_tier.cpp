@@ -12,6 +12,7 @@
 #include "cluster/node.hpp"
 #include "fault/fault_injector.hpp"
 #include "harness/runner.hpp"
+#include "outcome_compare.hpp"
 #include "tier/compressed_pool.hpp"
 #include "tier/tier_manager.hpp"
 
@@ -435,13 +436,7 @@ TEST(TierFullStack, TieredRunsAreDeterministic) {
   config.tier_mb = 6.0;
   const RunOutcome a = run_gang(config);
   const RunOutcome b = run_gang(config);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.pages_swapped_in, b.pages_swapped_in);
-  EXPECT_EQ(a.tier_pool_hits, b.tier_pool_hits);
-  EXPECT_EQ(a.tier_pool_misses, b.tier_pool_misses);
-  EXPECT_EQ(a.tier_pages_stored, b.tier_pages_stored);
-  EXPECT_EQ(a.tier_bytes_stored, b.tier_bytes_stored);
-  EXPECT_EQ(a.tier_writeback_pages, b.tier_writeback_pages);
+  expect_same_outcome(a, b);
 }
 
 TEST(TierFullStack, ConfigValidatesTierAndRetrySettings) {

@@ -15,6 +15,7 @@
 
 #include "harness/runner.hpp"
 #include "metrics/tracer.hpp"
+#include "outcome_compare.hpp"
 
 namespace apsim {
 namespace {
@@ -293,21 +294,7 @@ TEST(TracerRun, TracingOffProducesIdenticalOutcome) {
   EXPECT_NE(traced.trace, nullptr);
 
   // The tracer only records: every model-visible quantity matches exactly.
-  EXPECT_EQ(plain.makespan, traced.makespan);
-  EXPECT_EQ(plain.switches, traced.switches);
-  EXPECT_EQ(plain.major_faults, traced.major_faults);
-  EXPECT_EQ(plain.pages_swapped_in, traced.pages_swapped_in);
-  EXPECT_EQ(plain.pages_swapped_out, traced.pages_swapped_out);
-  EXPECT_EQ(plain.false_evictions, traced.false_evictions);
-  EXPECT_EQ(plain.pages_recorded, traced.pages_recorded);
-  EXPECT_EQ(plain.pages_replayed, traced.pages_replayed);
-  EXPECT_EQ(plain.bg_pages_written, traced.bg_pages_written);
-  ASSERT_EQ(plain.jobs.size(), traced.jobs.size());
-  for (std::size_t j = 0; j < plain.jobs.size(); ++j) {
-    EXPECT_EQ(plain.jobs[j].completion, traced.jobs[j].completion);
-    EXPECT_EQ(plain.jobs[j].major_faults, traced.jobs[j].major_faults);
-    EXPECT_EQ(plain.jobs[j].minor_faults, traced.jobs[j].minor_faults);
-  }
+  expect_same_outcome(plain, traced);
 }
 
 TEST(TracerRun, WritesChromeJsonFile) {
