@@ -41,7 +41,15 @@
 /// tier_writeback, io_retry_limit, io_retry_base_ms, io_retry_cap_ms,
 /// stalled_retry_limit, write_failure_streak, checkpoint_interval_s (0 =
 /// checkpoint/restart off), ckpt_incremental, ckpt_max_retries,
-/// restart_placement (spread/packed), lost_work_model (cpu/wall).
+/// restart_placement (spread/packed), lost_work_model (cpu/wall),
+/// reclaim_policy (clock-lru/exact-lru/fifo/mglru/s3-fifo), reclaim_batch,
+/// max_prefetch_run, sched_policy (matrix/admission/backfill/gang-edf/dfrs),
+/// dfrs_mem_frac, dfrs_max_share, auto_migrate, arrival (none/poisson/
+/// diurnal; an open stream), arrival_mean_s, diurnal_period_s,
+/// diurnal_low_frac, tenants, straggler_fraction, straggler_slowdown,
+/// deadline_slack, job_width_max, job_pages_min, job_pages_max,
+/// job_iterations_min, job_iterations_max, autotune, autotune_controller
+/// (dyn-thresh/hill-climb), autotune_interval_s, autotune_policy.
 
 namespace apsim {
 

@@ -16,8 +16,9 @@
 
 namespace apsim {
 
-/// Exact global LRU over reference timestamps. O(n log n) per refill of its
-/// victim cache; a reference model, not a performance model.
+/// Exact global LRU over reference timestamps. Every call gathers the whole
+/// resident set and partially sorts it (O(n log k) for n resident pages and
+/// k victims); a reference model, not a performance model.
 class ExactLruPolicy final : public ReclaimPolicy {
  public:
   [[nodiscard]] std::vector<Victim> select_victims(Vmm& vmm,

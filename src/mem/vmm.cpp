@@ -54,24 +54,10 @@ void Vmm::release_process(Pid pid) {
   // Only live pages (present or holding a swap copy) need teardown work;
   // every in-flight page is live too (a read keeps its slot, a write keeps
   // the page mapped), so the word scan visits everything the full walk did.
+  // In-flight pages are left to land_read/release_read/land_write.
   const std::int64_t npages = pt.num_pages();
   for (VPage v = pt.next_live(0); v < npages; v = pt.next_live(v + 1)) {
-    Pte pte = pt.at(v);
-    if (pte.io_busy()) continue;  // reaped by the I/O completion handler
-    if (pte.present()) {
-      frames_.free(pte.frame());
-      pte.set_frame(kNoFrame);
-      pte.set_present(false);
-      --as.resident_;
-      if (pte.dirty()) {
-        pte.set_dirty(false);
-        --as.dirty_resident_;
-      }
-    }
-    if (pte.slot() != kNoSwapSlot) {
-      swap_.free_slot(pte.slot());
-      pte.set_slot(kNoSwapSlot);
-    }
+    if (!pt.at(v).io_busy()) drop_page(as, v);
   }
   // Freed frames and slots are reclaim progress: clear any stall.
   reclaim_stalled_ = false;
@@ -120,10 +106,7 @@ void Vmm::touch_resident(AddressSpace& as, Pte pte, bool write) {
     ++as.dirty_resident_;
     // The swap copy (if any) is now stale. With I/O in flight the completion
     // handler performs the invalidation instead.
-    if (!pte.io_busy() && pte.slot() != kNoSwapSlot) {
-      swap_.free_slot(pte.slot());
-      pte.set_slot(kNoSwapSlot);
-    }
+    if (!pte.io_busy()) drop_slot(pte);
   }
 }
 
@@ -485,45 +468,27 @@ void Vmm::finish_minor_fault(Pid pid, VPage vpage, bool write,
 void Vmm::start_major_fault(Pid pid, VPage vpage, bool write,
                             std::function<void()> resume) {
   auto& as = space(pid);
-  auto& pt = as.page_table();
-  Pte base = pt.at(vpage);
+  const Pte base = as.pt_.at(vpage);
   assert(base.slot() != kNoSwapSlot && !base.present() && !base.io_busy());
-
-  const auto frame0 = frames_.alloc(pid, vpage);
-  if (!frame0) {
+  const SwapSlot s0 = base.slot();
+  if (!reserve_for_read(as, vpage, s0)) {  // no free frame
     retry_fault_later(pid, vpage, write, std::move(resume));
     return;
   }
   ++as.stats_.major_faults;
   if (base.evicted_this_epoch()) ++as.stats_.false_evictions;
-  base.set_frame(*frame0);
-  base.set_io_busy(true);
 
   // Swap read-ahead: extend the read over neighbouring virtual pages whose
   // swap slots are exactly consecutive with ours (forward first, then
   // backward), up to page_cluster pages, frames permitting.
   VPage lo = vpage;
   VPage hi = vpage;
-  const SwapSlot s0 = base.slot();
-  auto eligible = [&](VPage v) {
-    if (!pt.valid(v)) return false;
-    const Pte p = pt.at(v);
-    return !p.present() && !p.io_busy() && p.slot() == s0 + (v - vpage);
-  };
-  while (hi - lo + 1 < params_.page_cluster && eligible(hi + 1)) {
-    const auto f = frames_.alloc(pid, hi + 1);
-    if (!f) break;
-    Pte p = pt.at(hi + 1);
-    p.set_frame(*f);
-    p.set_io_busy(true);
+  while (hi - lo + 1 < params_.page_cluster &&
+         reserve_for_read(as, hi + 1, s0 + (hi + 1 - vpage))) {
     ++hi;
   }
-  while (hi - lo + 1 < params_.page_cluster && eligible(lo - 1)) {
-    const auto f = frames_.alloc(pid, lo - 1);
-    if (!f) break;
-    Pte p = pt.at(lo - 1);
-    p.set_frame(*f);
-    p.set_io_busy(true);
+  while (hi - lo + 1 < params_.page_cluster &&
+         reserve_for_read(as, lo - 1, s0 + (lo - 1 - vpage))) {
     --lo;
   }
 
@@ -544,41 +509,18 @@ void Vmm::issue_major_read(Pid pid, VPage lo, std::int64_t count, VPage vpage,
                            bool write, std::function<void()> resume,
                            int attempt) {
   auto& as = space(pid);
-  auto& pt = as.page_table();
-
-  // Reap path shared by "owner died while waiting" and "retries exhausted":
-  // release the reserved frames; a live owner keeps the swap slots (the data
-  // is still on disk, a later demand fault may succeed once the fault
-  // condition clears), a dead one gives them back.
-  auto abandon = [this, pid, lo, count](AddressSpace& as2) {
-    auto& pt2 = as2.page_table();
-    for (VPage v = lo; v < lo + count; ++v) {
-      Pte p = pt2.at(v);
-      assert(p.io_busy() && !p.present());
-      p.set_io_busy(false);
-      frames_.free(p.frame());
-      p.set_frame(kNoFrame);
-      if (!as2.alive_ && p.slot() != kNoSwapSlot) {
-        swap_.free_slot(p.slot());
-        p.set_slot(kNoSwapSlot);
-      }
-      drop_io_waiters(pid, v);
-    }
+  if (!as.alive_) {  // the owner died while the retry was pending
+    release_read(as, lo, count);
     kick_reclaim();
-  };
-
-  if (!as.alive_) {
-    abandon(as);
     return;
   }
 
-  const SlotRun run{pt.at(lo).slot(), count};
+  const SlotRun run{as.pt_.at(lo).slot(), count};
   swap_read(
       run, IoPriority::kForeground,
-      [this, pid, lo, count, vpage, write, resume = std::move(resume), attempt,
-       abandon](IoResult result) mutable {
+      [this, pid, lo, count, vpage, write, resume = std::move(resume),
+       attempt](IoResult result) mutable {
         auto& as2 = space(pid);
-        auto& pt2 = as2.page_table();
         if (!result.ok) {
           ++stats_.io_read_failures;
           if (as2.alive_ && attempt < params_.io_retry_limit &&
@@ -603,7 +545,11 @@ void Vmm::issue_major_read(Pid pid, VPage lo, std::int64_t count, VPage vpage,
             });
             return;
           }
-          abandon(as2);
+          // Retries exhausted or the owner died: the frames go back; a live
+          // owner keeps its slots, so a later demand fault may still succeed
+          // once the fault condition clears.
+          release_read(as2, lo, count);
+          kick_reclaim();
           if (as2.alive_) {
             ++stats_.pages_unrecoverable;
             log_.error("swap read for pid %d page %lld failed %d time(s); "
@@ -614,34 +560,14 @@ void Vmm::issue_major_read(Pid pid, VPage lo, std::int64_t count, VPage vpage,
           }
           return;
         }
-        for (VPage v = lo; v < lo + count; ++v) {
-          Pte p = pt2.at(v);
-          assert(p.io_busy() && !p.present());
-          p.set_io_busy(false);
-          if (!as2.alive_) {
-            frames_.free(p.frame());
-            p.set_frame(kNoFrame);
-            if (p.slot() != kNoSwapSlot) {
-              swap_.free_slot(p.slot());
-              p.set_slot(kNoSwapSlot);
-            }
-            continue;
-          }
-          p.set_present(true);
-          // Only the faulting page counts as referenced; read-ahead
-          // pages age out if they go unused (Linux behaviour).
-          p.set_referenced(v == vpage);
-          p.set_age(params_.age_initial);
-          p.set_last_ref(sim_.now());
-          ++as2.resident_;
-          note_mapped(as2, v);
-          if (!stalled_retry_counts_.empty()) {
+        // Only the faulting page counts as referenced; read-ahead pages age
+        // out if they go unused (Linux behaviour).
+        if (!land_read(as2, lo, count, vpage)) return;
+        if (!stalled_retry_counts_.empty()) {
+          for (VPage v = lo; v < lo + count; ++v) {
             stalled_retry_counts_.erase({pid, v});
           }
-          fire_io_waiters(pid, v);
         }
-        if (!as2.alive_) return;
-        account_pagein(count, as2);
         (void)touch(as2, vpage, write);
         if (resume) sim_.after(params_.major_fault_cpu, std::move(resume));
       });
@@ -704,6 +630,134 @@ void Vmm::fire_io_waiters(Pid pid, VPage vpage) {
   io_waiters_.erase(it);
   for (auto& fn : waiters) sim_.after(0, std::move(fn));
   recycle_waiter_list(std::move(waiters));
+}
+
+// ---------------------------------------------------------------------------
+// Page-I/O lifecycle
+//
+// A transfer reserves its pages (io_busy) when it starts, and exactly one of
+// land_read, release_read or land_write ends each reserved page (eviction
+// un-reserves the victims a full swap device could not place before any
+// write starts). Nothing else touches an io_busy page's frame or slot,
+// which is why release_process can leave those pages to the transfer that
+// holds them.
+
+bool Vmm::reserve_for_read(AddressSpace& as, VPage v, SwapSlot slot) {
+  if (!as.pt_.valid(v)) return false;
+  Pte pte = as.pt_.at(v);
+  if (pte.present() || pte.io_busy() || pte.slot() != slot) return false;
+  const auto frame = frames_.alloc(as.pid_, v);
+  if (!frame) return false;
+  pte.set_frame(*frame);
+  pte.set_io_busy(true);
+  return true;
+}
+
+bool Vmm::land_read(AddressSpace& as, VPage lo, std::int64_t count,
+                    std::optional<VPage> hot) {
+  if (!as.alive_) {
+    release_read(as, lo, count);
+    return false;
+  }
+  for (VPage v = lo; v < lo + count; ++v) {
+    Pte pte = as.pt_.at(v);
+    assert(pte.io_busy() && !pte.present());
+    pte.set_io_busy(false);
+    pte.set_present(true);
+    pte.set_referenced(!hot || v == *hot);
+    pte.set_age(params_.age_initial);
+    pte.set_last_ref(sim_.now());
+    ++as.resident_;
+    note_mapped(as, v);
+    fire_io_waiters(as.pid_, v);
+  }
+  account_pagein(count, as);
+  return true;
+}
+
+void Vmm::release_read(AddressSpace& as, VPage lo, std::int64_t count) {
+  for (VPage v = lo; v < lo + count; ++v) {
+    Pte pte = as.pt_.at(v);
+    assert(pte.io_busy() && !pte.present());
+    pte.set_io_busy(false);
+    frames_.free(pte.frame());
+    pte.set_frame(kNoFrame);
+    if (!as.alive_) drop_slot(pte);
+    drop_io_waiters(as.pid_, v);
+  }
+}
+
+std::optional<SlotRun> Vmm::write_out(AddressSpace& as, VPage v,
+                                      std::int64_t count) {
+  const auto run = swap_.alloc_run(std::min(count, params_.max_writeout_run));
+  if (!run) return std::nullopt;
+  for (std::int64_t k = 0; k < run->count; ++k) {
+    Pte pte = as.pt_.at(v + k);
+    assert(pte.present());
+    drop_slot(pte);  // stale copy
+    pte.set_slot(run->start + k);
+    pte.set_io_busy(true);
+    if (pte.dirty()) {
+      pte.set_dirty(false);
+      --as.dirty_resident_;
+    }
+  }
+  return run;
+}
+
+void Vmm::land_write(AddressSpace& as, VPage lo, std::int64_t count, bool ok,
+                     bool unmap) {
+  if (!ok) ++stats_.io_write_failures;
+  for (VPage v = lo; v < lo + count; ++v) {
+    Pte pte = as.pt_.at(v);
+    assert(pte.io_busy() && pte.present());
+    pte.set_io_busy(false);
+    if (!ok) drop_slot(pte);  // the swap copy was never written
+    if (!as.alive_) {
+      drop_page(as, v);
+    } else if (!ok) {
+      // The data exists only in memory: the page stays resident and is
+      // dirty again, for the reclaimer or the background writer to retry.
+      if (!pte.dirty()) {
+        pte.set_dirty(true);
+        ++as.dirty_resident_;
+      }
+    } else if (pte.dirty()) {
+      // Re-dirtied while the write was in flight: the copy just written is
+      // stale, and an eviction is cancelled.
+      drop_slot(pte);
+    } else if (unmap) {
+      pte.set_referenced(false);
+      unmap_page(as, v);
+    }
+  }
+  if (ok && as.alive_) account_pageout(count, as);
+}
+
+void Vmm::drop_page(AddressSpace& as, VPage v) {
+  Pte pte = as.pt_.at(v);
+  if (pte.present()) unmap_page(as, v);
+  drop_slot(pte);
+}
+
+void Vmm::unmap_page(AddressSpace& as, VPage v) {
+  Pte pte = as.pt_.at(v);
+  assert(pte.present());
+  frames_.free(pte.frame());
+  pte.set_frame(kNoFrame);
+  pte.set_present(false);
+  --as.resident_;
+  as.note_unmapped(v);
+  if (pte.dirty()) {
+    pte.set_dirty(false);
+    --as.dirty_resident_;
+  }
+}
+
+void Vmm::drop_slot(Pte pte) {
+  if (pte.slot() == kNoSwapSlot) return;
+  swap_.free_slot(pte.slot());
+  pte.set_slot(kNoSwapSlot);
 }
 
 // ---------------------------------------------------------------------------
@@ -856,13 +910,9 @@ std::int64_t Vmm::evict_batch(std::span<const Victim> victims,
     Pte pte = as.page_table().at(victim.vpage);
     if (!pte.present() || pte.io_busy()) continue;  // duplicate or raced
     if (pte.clean_drop_ok()) {
-      pte.set_present(false);
       pte.set_referenced(false);
       pte.set_evicted_this_epoch();
-      frames_.free(pte.frame());
-      pte.set_frame(kNoFrame);
-      --as.resident_;
-      as.note_unmapped(victim.vpage);
+      unmap_page(as, victim.vpage);
       ++as.stats_.pages_clean_dropped;
       ++freed_now;
       note_evicted(victim.pid, victim.vpage);
@@ -884,106 +934,41 @@ std::int64_t Vmm::evict_batch(std::span<const Victim> victims,
     }
     const Pid pid = writes[i].pid;
     auto& as = space(pid);
-    auto& pt = as.page_table();
-    std::int64_t remaining = static_cast<std::int64_t>(j - i);
     VPage v = writes[i].vpage;
-    while (remaining > 0) {
-      auto run = swap_.alloc_run(std::min(remaining, params_.max_writeout_run));
+    for (const VPage end = v + static_cast<std::int64_t>(j - i); v < end;) {
+      const auto run = write_out(as, v, end - v);
       if (!run) {
         log_.error("swap device full; cannot evict %lld page(s)",
-                   static_cast<long long>(remaining));
+                   static_cast<long long>(end - v));
         // Un-reserve the pages we could not place.
-        for (std::int64_t k = 0; k < remaining; ++k) {
-          pt.at(v + k).set_io_busy(false);
-        }
+        for (; v < end; ++v) as.pt_.at(v).set_io_busy(false);
         break;
       }
-      const VPage run_begin = v;
-      for (std::int64_t k = 0; k < run->count; ++k, ++v) {
-        Pte pte = pt.at(v);
-        assert(pte.present() && pte.io_busy());
-        if (pte.slot() != kNoSwapSlot) swap_.free_slot(pte.slot());  // stale copy
-        pte.set_slot(run->start + k);
-        if (pte.dirty()) {
-          pte.set_dirty(false);
-          --as.dirty_resident_;
-        }
-        pte.set_evicted_this_epoch();
-        note_evicted(pid, v);
+      for (VPage p = v; p < v + run->count; ++p) {
+        as.pt_.at(p).set_evicted_this_epoch();
+        note_evicted(pid, p);
       }
-      remaining -= run->count;
       evictions_in_flight_ += run->count;
-
       swap_write(*run, priority,
-                 [this, pid, run_begin, count = run->count](IoResult result) {
-                    auto& as2 = space(pid);
-                    auto& pt2 = as2.page_table();
-                    if (!result.ok) {
-                      ++stats_.io_write_failures;
-                      if (++write_failure_streak_ >=
-                              params_.write_failure_streak_limit &&
-                          !reclaim_stalled_) {
-                        reclaim_stalled_ = true;
-                        log_.warn("eviction write-outs keep failing; reclaim "
-                                  "stalled");
-                      }
-                    } else {
-                      // Reclaim progress: clear any stall.
-                      write_failure_streak_ = 0;
-                      reclaim_stalled_ = false;
-                    }
-                    for (VPage p = run_begin; p < run_begin + count; ++p) {
-                      Pte pte = pt2.at(p);
-                      assert(pte.io_busy());
-                      pte.set_io_busy(false);
-                      if (!result.ok && pte.slot() != kNoSwapSlot) {
-                        // The swap copy was never written; drop the slot.
-                        swap_.free_slot(pte.slot());
-                        pte.set_slot(kNoSwapSlot);
-                      }
-                      if (!as2.alive_) {
-                        frames_.free(pte.frame());
-                        pte.set_frame(kNoFrame);
-                        pte.set_present(false);
-                        --as2.resident_;
-                        as2.note_unmapped(p);
-                        if (pte.dirty()) {
-                          pte.set_dirty(false);
-                          --as2.dirty_resident_;
-                        }
-                        if (pte.slot() != kNoSwapSlot) {
-                          swap_.free_slot(pte.slot());
-                          pte.set_slot(kNoSwapSlot);
-                        }
-                        continue;
-                      }
-                      if (!result.ok) {
-                        // The data exists only in memory: the page stays
-                        // resident and is dirty again. kswapd retries later.
-                        if (!pte.dirty()) {
-                          pte.set_dirty(true);
-                          ++as2.dirty_resident_;
-                        }
-                        continue;
-                      }
-                      if (pte.dirty()) {
-                        // Re-dirtied while the write was in flight: the just
-                        // written copy is stale; the eviction is aborted.
-                        swap_.free_slot(pte.slot());
-                        pte.set_slot(kNoSwapSlot);
-                        continue;
-                      }
-                      pte.set_present(false);
-                      pte.set_referenced(false);
-                      frames_.free(pte.frame());
-                      pte.set_frame(kNoFrame);
-                      --as2.resident_;
-                      as2.note_unmapped(p);
-                    }
-                    evictions_in_flight_ -= count;
-                    if (result.ok && as2.alive_) account_pageout(count, as2);
-                    kick_reclaim();
-                  });
+                 [this, pid, v, count = run->count](IoResult result) {
+                   if (!result.ok) {
+                     if (++write_failure_streak_ >=
+                             params_.write_failure_streak_limit &&
+                         !reclaim_stalled_) {
+                       reclaim_stalled_ = true;
+                       log_.warn("eviction write-outs keep failing; reclaim "
+                                 "stalled");
+                     }
+                   } else {
+                     // Reclaim progress: clear any stall.
+                     write_failure_streak_ = 0;
+                     reclaim_stalled_ = false;
+                   }
+                   land_write(space(pid), v, count, result.ok, /*unmap=*/true);
+                   evictions_in_flight_ -= count;
+                   kick_reclaim();
+                 });
+      v += run->count;
     }
     i = j;
   }
@@ -1015,10 +1000,7 @@ void Vmm::prefetch_pump(const std::shared_ptr<PrefetchJob>& job) {
   auto& pt = as.page_table();
   if (!as.alive_) {
     job->run_idx = job->runs.size();
-    if (job->reads_in_flight == 0 && job->done) {
-      auto done = std::move(job->done);
-      done();
-    }
+    job->finish_if_drained();
     return;
   }
 
@@ -1034,7 +1016,7 @@ void Vmm::prefetch_pump(const std::shared_ptr<PrefetchJob>& job) {
       ++job->page_idx;
       continue;
     }
-    Pte pte = pt.at(v);
+    const Pte pte = pt.at(v);
     if (pte.present() || pte.io_busy() || pte.slot() == kNoSwapSlot) {
       ++job->page_idx;
       continue;
@@ -1044,15 +1026,8 @@ void Vmm::prefetch_pump(const std::shared_ptr<PrefetchJob>& job) {
     // remain available.
     const SwapSlot s0 = pte.slot();
     std::int64_t len = 0;
-    while (job->page_idx + len < run.count && len < params_.max_prefetch_run) {
-      const VPage vc = run.start + job->page_idx + len;
-      if (!pt.valid(vc)) break;
-      Pte pc = pt.at(vc);
-      if (pc.present() || pc.io_busy() || pc.slot() != s0 + len) break;
-      auto frame = frames_.alloc(job->pid, vc);
-      if (!frame) break;
-      pc.set_frame(*frame);
-      pc.set_io_busy(true);
+    while (job->page_idx + len < run.count && len < params_.max_prefetch_run &&
+           reserve_for_read(as, v + len, s0 + len)) {
       ++len;
     }
     if (len == 0) {
@@ -1068,85 +1043,43 @@ void Vmm::prefetch_pump(const std::shared_ptr<PrefetchJob>& job) {
     job->page_idx += len;
     ++job->reads_in_flight;
 
-    const VPage batch_begin = v;
     swap_read(SlotRun{s0, len}, IoPriority::kForeground,
-              [this, job, batch_begin, len](IoResult result) {
-                 auto& as2 = space(job->pid);
-                 auto& pt2 = as2.page_table();
-                 if (!result.ok) {
-                   ++stats_.io_read_failures;
-                   ++stats_.prefetch_aborts;
-                   for (VPage p = batch_begin; p < batch_begin + len; ++p) {
-                     Pte pte = pt2.at(p);
-                     assert(pte.io_busy() && !pte.present());
-                     if (as2.alive_ && has_io_waiters(job->pid, p)) {
-                       // A demand fault piggybacked on this prefetch read:
-                       // escalate to a single-page foreground read with the
-                       // full retry budget so the waiter is not dropped.
-                       issue_major_read(job->pid, p, 1, p, /*write=*/false,
-                                        /*resume=*/{}, /*attempt=*/1);
-                       continue;
-                     }
-                     // Release the frame but keep the swap slot (live owner):
-                     // plain demand paging retries the page later.
-                     pte.set_io_busy(false);
-                     frames_.free(pte.frame());
-                     pte.set_frame(kNoFrame);
-                     if (!as2.alive_ && pte.slot() != kNoSwapSlot) {
-                       swap_.free_slot(pte.slot());
-                       pte.set_slot(kNoSwapSlot);
-                     }
-                   }
-                   // Abandon the rest of the replay: the pager falls back to
-                   // demand paging for whatever was not yet fetched.
-                   job->run_idx = job->runs.size();
-                   job->page_idx = 0;
-                   --job->reads_in_flight;
-                   kick_reclaim();
-                   if (job->reads_in_flight == 0 && job->done) {
-                     auto done = std::move(job->done);
-                     done();
-                   }
-                   return;
-                 }
-                 for (VPage p = batch_begin; p < batch_begin + len; ++p) {
-                   Pte pte = pt2.at(p);
-                   assert(pte.io_busy() && !pte.present());
-                   pte.set_io_busy(false);
-                   if (!as2.alive_) {
-                     frames_.free(pte.frame());
-                     pte.set_frame(kNoFrame);
-                     if (pte.slot() != kNoSwapSlot) {
-                       swap_.free_slot(pte.slot());
-                       pte.set_slot(kNoSwapSlot);
-                     }
-                     continue;
-                   }
-                   pte.set_present(true);
-                   // Recorded working-set pages: mapped hot so a concurrent
-                   // sweep does not immediately reclaim them again.
-                   pte.set_referenced(true);
-                   pte.set_age(params_.age_initial);
-                   pte.set_last_ref(sim_.now());
-                   ++as2.resident_;
-                   note_mapped(as2, p);
-                   fire_io_waiters(job->pid, p);
-                 }
-                 if (as2.alive_) account_pagein(len, as2);
-                 --job->reads_in_flight;
-                 if (job->run_idx >= job->runs.size() &&
-                     job->reads_in_flight == 0 && job->done) {
-                   auto done = std::move(job->done);
-                   done();
-                 }
-               });
+              [this, job, v, len](IoResult result) {
+                auto& as2 = space(job->pid);
+                --job->reads_in_flight;
+                if (result.ok) {
+                  // Recorded working-set pages: mapped hot so a concurrent
+                  // sweep does not immediately reclaim them again.
+                  land_read(as2, v, len, /*hot=*/std::nullopt);
+                  job->finish_if_drained();
+                  return;
+                }
+                ++stats_.io_read_failures;
+                ++stats_.prefetch_aborts;
+                for (VPage p = v; p < v + len; ++p) {
+                  if (as2.alive_ && has_io_waiters(job->pid, p)) {
+                    // A demand fault piggybacked on this prefetch read:
+                    // escalate to a single-page foreground read with the
+                    // full retry budget so the waiter is not dropped.
+                    issue_major_read(job->pid, p, 1, p, /*write=*/false,
+                                     /*resume=*/{}, /*attempt=*/1);
+                  } else {
+                    // A live owner keeps the slot, so plain demand paging
+                    // retries the page later.
+                    release_read(as2, p, 1);
+                  }
+                }
+                // Abandon the rest of the replay: the pager falls back to
+                // demand paging for whatever was not yet fetched.
+                job->run_idx = job->runs.size();
+                job->page_idx = 0;
+                kick_reclaim();
+                job->finish_if_drained();
+              });
     if (frames_.free_frames() < params_.freepages_low) kick_reclaim();
   }
 
-  if (job->reads_in_flight == 0 && job->done) {
-    auto done = std::move(job->done);
-    done();
-  }
+  job->finish_if_drained();
 }
 
 // ---------------------------------------------------------------------------
@@ -1206,76 +1139,21 @@ void Vmm::writeback_dirty(Pid pid, std::int64_t max_pages, IoPriority priority,
     }
     if (v == npages) v = 0;
 
-    std::int64_t remaining = len;
-    VPage gv = begin;
-    while (remaining > 0) {
-      auto run = swap_.alloc_run(std::min(remaining, params_.max_writeout_run));
+    for (VPage gv = begin; gv < begin + len;) {
+      const auto run = write_out(as, gv, begin + len - gv);
       if (!run) {
         log_.error("swap device full during writeback");
         break;
       }
-      const VPage run_begin = gv;
-      for (std::int64_t k = 0; k < run->count; ++k, ++gv) {
-        Pte pte = pt.at(run_begin + k);
-        if (pte.slot() != kNoSwapSlot) swap_.free_slot(pte.slot());
-        pte.set_slot(run->start + k);
-        pte.set_io_busy(true);
-        pte.set_dirty(false);
-        --as.dirty_resident_;
-      }
-      remaining -= run->count;
+      // The pages stay mapped whatever the outcome; cleaning them without
+      // unmapping is the point of background writing.
+      swap_write(*run, priority,
+                 [this, pid, gv, count = run->count](IoResult result) {
+                   land_write(space(pid), gv, count, result.ok,
+                              /*unmap=*/false);
+                 });
+      gv += run->count;
       started += run->count;
-
-      swap_write(*run, priority, [this, pid, run_begin,
-                                  count = run->count](IoResult result) {
-        auto& as2 = space(pid);
-        auto& pt2 = as2.page_table();
-        if (!result.ok) ++stats_.io_write_failures;
-        for (VPage p = run_begin; p < run_begin + count; ++p) {
-          Pte pte = pt2.at(p);
-          assert(pte.io_busy() && pte.present());
-          pte.set_io_busy(false);
-          if (!result.ok && pte.slot() != kNoSwapSlot) {
-            // The swap copy was never written; drop the slot.
-            swap_.free_slot(pte.slot());
-            pte.set_slot(kNoSwapSlot);
-          }
-          if (!as2.alive_) {
-            frames_.free(pte.frame());
-            pte.set_frame(kNoFrame);
-            pte.set_present(false);
-            --as2.resident_;
-            as2.note_unmapped(p);
-            if (pte.dirty()) {
-              pte.set_dirty(false);
-              --as2.dirty_resident_;
-            }
-            if (pte.slot() != kNoSwapSlot) {
-              swap_.free_slot(pte.slot());
-              pte.set_slot(kNoSwapSlot);
-            }
-            continue;
-          }
-          if (!result.ok) {
-            // The page is still dirty in memory only. No retry here — the
-            // background writer's next tick tries again naturally.
-            if (!pte.dirty()) {
-              pte.set_dirty(true);
-              ++as2.dirty_resident_;
-            }
-            continue;
-          }
-          if (pte.dirty()) {
-            // Re-dirtied during the write: the swap copy is stale.
-            swap_.free_slot(pte.slot());
-            pte.set_slot(kNoSwapSlot);
-          }
-          // Page stays mapped either way; cleaning it without unmapping is
-          // the point of background writing.
-        }
-        if (result.ok && as2.alive_) account_pageout(count, as2);
-      });
-      if (run->count == 0) break;
     }
   }
   as.writeback_hand_ = v;

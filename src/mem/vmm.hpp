@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -185,7 +186,8 @@ class Vmm {
   Pid create_process(std::int64_t num_pages);
 
   /// Tear down a process: unmap resident pages and release swap slots.
-  /// Pages with in-flight I/O are reaped when that I/O completes.
+  /// Pages with in-flight I/O are reaped when that I/O lands, and faults
+  /// piggybacked on an in-flight read are dropped then.
   void release_process(Pid pid);
 
   [[nodiscard]] AddressSpace& space(Pid pid);
@@ -409,6 +411,12 @@ class Vmm {
   /// writes persistently failing); the adaptive pager uses this to degrade.
   [[nodiscard]] bool reclaim_stalled() const { return reclaim_stalled_; }
 
+  /// Pages that have faults piggybacked on an in-flight read (each such
+  /// page has exactly one read in flight).
+  [[nodiscard]] std::size_t pages_with_io_waiters() const {
+    return io_waiters_.size();
+  }
+
   /// Pages read from swap per second (trace for Figure 6).
   [[nodiscard]] TimeSeries& pagein_series() { return pagein_series_; }
   /// Pages written to swap per second (trace for Figure 6).
@@ -460,6 +468,44 @@ class Vmm {
     policy_->on_map(as.pid(), vpage);
   }
 
+  // Page-I/O lifecycle. Demand reads (with read-ahead), prefetch reads,
+  // eviction writes and background writes all reserve their pages (io_busy)
+  // and end them through these steps; each caller keeps its own retries,
+  // counters, referenced bits and reclaim kicks.
+
+  /// Reserve a frame for reading page \p v from swap slot \p slot and mark
+  /// the page in flight. False, changing nothing, unless \p v is a valid
+  /// page that is neither resident nor in flight, holds exactly \p slot,
+  /// and a frame is free.
+  bool reserve_for_read(AddressSpace& as, VPage v, SwapSlot slot);
+  /// A read of [lo, lo + count) landed: map the pages, fire the faults
+  /// piggybacked on them and count the page-ins. Only \p hot is marked
+  /// referenced (every page when empty). A dead owner's read is released
+  /// instead; returns false then.
+  bool land_read(AddressSpace& as, VPage lo, std::int64_t count,
+                 std::optional<VPage> hot);
+  /// A read of [lo, lo + count) will not land: free the reserved frames and
+  /// drop the piggybacked faults. A live owner keeps the swap slots (the
+  /// data is still on disk); a dead owner gives them back.
+  void release_read(AddressSpace& as, VPage lo, std::int64_t count);
+  /// Give up to \p count resident pages from \p v one fresh swap-slot run,
+  /// dropping stale swap copies, and mark them clean and in flight. Returns
+  /// the run, or nothing when the swap device is full.
+  std::optional<SlotRun> write_out(AddressSpace& as, VPage v,
+                                   std::int64_t count);
+  /// A write of [lo, lo + count) landed. A failed write frees the slots and
+  /// re-dirties the pages; a page re-dirtied in flight drops its stale copy;
+  /// a dead owner's pages are reaped. With \p unmap (eviction) the pages
+  /// written cleanly are unmapped; otherwise they stay mapped.
+  void land_write(AddressSpace& as, VPage lo, std::int64_t count, bool ok,
+                  bool unmap);
+  /// Reap a dead owner's page: unmap it if resident, free its swap slot.
+  void drop_page(AddressSpace& as, VPage v);
+  /// Unmap a resident page and free its frame; its swap slot stays.
+  void unmap_page(AddressSpace& as, VPage v);
+  /// Free the page's swap slot, if it holds one.
+  void drop_slot(Pte pte);
+
   // Reclaim machinery.
   void kick_reclaim();
   void reclaim_step();
@@ -478,6 +524,13 @@ class Vmm {
     std::int64_t page_idx = 0;
     std::int64_t reads_in_flight = 0;
     std::function<void()> done;
+
+    /// Run `done` (once) when every run is issued and every read landed.
+    void finish_if_drained() {
+      if (run_idx < runs.size() || reads_in_flight > 0 || !done) return;
+      auto fn = std::move(done);
+      fn();
+    }
   };
   void prefetch_pump(const std::shared_ptr<PrefetchJob>& job);
 

@@ -1,11 +1,15 @@
 // Unit tests for the VMM: fault paths, read-ahead, watermark reclaim, swap
 // cache semantics, prefetch, background writeback, working-set accounting,
 // and the eviction observer — the substrate the adaptive mechanisms drive.
+// The second half injects disk errors and tears processes down mid-transfer
+// to pin how each page-I/O path ends when a transfer fails or its owner dies.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "fault/fault_injector.hpp"
 #include "mem/vmm.hpp"
 
 namespace apsim {
@@ -381,6 +385,250 @@ TEST_F(VmmFixture, WatermarkKeepsMinimumFreePool) {
   populate(pid, 0, 400);  // far beyond physical memory
   EXPECT_GE(vmm.free_frames(), small_params().freepages_min);
   EXPECT_GT(vmm.space(pid).stats().pages_swapped_out, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Failed transfers and teardown with I/O in flight
+
+struct FaultyVmmFixture : VmmFixture {
+  FaultyVmmFixture() { vmm.log().set_level(LogLevel::kOff); }
+
+  /// Every disk service that starts in [start, end) completes with an error.
+  void fail_disk(SimTime start, SimTime end) {
+    FaultSpec spec = FaultSpec::parse("disk_transient p=1");
+    spec.start = start;
+    spec.end = end;
+    FaultPlan plan;
+    plan.add(spec);
+    injector = std::make_unique<FaultInjector>(sim, plan);
+    disk.set_fault_injector(injector.get(), /*node=*/0);
+  }
+
+  /// Fail only the services that start at the current instant.
+  void fail_disk_now() { fail_disk(sim.now(), sim.now() + 1); }
+
+  /// A process whose pages [0, 64) were written once and then all evicted,
+  /// to consecutive swap slots.
+  Pid swapped_out_process() {
+    const Pid pid = vmm.create_process(256);
+    populate(pid, 0, 64);
+    force_free(128);
+    const auto& pt = vmm.space(pid).page_table();
+    EXPECT_EQ(vmm.space(pid).resident_pages(), 0);
+    for (VPage v = 1; v < 64; ++v) {
+      EXPECT_EQ(pt.at(v).slot(), pt.at(0).slot() + v) << v;
+    }
+    return pid;
+  }
+
+  /// Ask the reclaimer for one more free frame, and stop asking once
+  /// \p enough holds (a failed write keeps the frame in use, so an
+  /// unconditional request would retry forever).
+  void reclaim_one(std::function<bool()> enough) {
+    vmm.request_free_frames(vmm.free_frames() + 1, [] {},
+                            /*best_effort=*/true, std::move(enough));
+  }
+
+  [[nodiscard]] ConstPte pte(Pid pid, VPage v) const {
+    return vmm.space(pid).page_table().at(v);
+  }
+
+  /// Release every live process, let in-flight I/O land, and check that
+  /// every frame, swap slot and piggybacked-fault list came back.
+  void expect_clean_teardown() {
+    for (Pid pid : vmm.pids()) {
+      if (vmm.space(pid).alive()) vmm.release_process(pid);
+    }
+    sim.run();
+    EXPECT_EQ(vmm.free_frames(), vmm.frames().usable_frames());
+    EXPECT_EQ(swap.used_slots(), 0);
+    EXPECT_EQ(vmm.pages_with_io_waiters(), 0u);
+  }
+
+  std::unique_ptr<FaultInjector> injector;
+};
+
+TEST_F(FaultyVmmFixture, DemandReadRetriesATransientError) {
+  const Pid pid = swapped_out_process();
+  fail_disk_now();
+  ASSERT_TRUE(sync_fault(pid, 10));
+  EXPECT_EQ(vmm.stats().io_read_failures, 1u);
+  EXPECT_EQ(vmm.stats().io_retries, 1u);
+  EXPECT_EQ(vmm.stats().pages_unrecoverable, 0u);
+  EXPECT_TRUE(pte(pid, 10).present());
+  EXPECT_FALSE(pte(pid, 10).io_busy());
+  EXPECT_EQ(vmm.space(pid).stats().major_faults, 1u);
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, DemandReadRetryExhaustionIsUnrecoverable) {
+  const Pid pid = swapped_out_process();
+  int failures = 0;
+  vmm.set_failure_handler([&](Pid p, VPage v, Vmm::PageFailure why) {
+    ++failures;
+    EXPECT_EQ(p, pid);
+    EXPECT_EQ(v, 10);
+    EXPECT_EQ(why, Vmm::PageFailure::kIoError);
+  });
+  const auto free_before = vmm.free_frames();
+  const auto slots_before = swap.used_slots();
+  fail_disk(sim.now(), sim.now() + kMinute);
+  EXPECT_FALSE(sync_fault(pid, 10));  // the faulting process never resumes
+  EXPECT_EQ(vmm.stats().pages_unrecoverable, 1u);
+  EXPECT_EQ(vmm.stats().io_retries,
+            static_cast<std::uint64_t>(small_params().io_retry_limit));
+  EXPECT_EQ(failures, 1);
+  // The reserved frames came back; the live owner keeps every swap copy.
+  EXPECT_EQ(vmm.free_frames(), free_before);
+  EXPECT_EQ(swap.used_slots(), slots_before);
+  for (VPage v = 0; v < 64; ++v) {
+    EXPECT_FALSE(pte(pid, v).present()) << v;
+    EXPECT_FALSE(pte(pid, v).io_busy()) << v;
+    EXPECT_TRUE(swap.is_allocated(pte(pid, v).slot())) << v;
+  }
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, FailedPrefetchEscalatesPiggybackedFaultAndAborts) {
+  const Pid pid = swapped_out_process();
+  fail_disk_now();
+  int done = 0;
+  vmm.prefetch(pid, {PageRun{0, 32}}, [&] { ++done; });
+  ASSERT_TRUE(pte(pid, 5).io_busy());  // one 32-page read is in flight
+  bool resumed = false;
+  vmm.fault(pid, 5, false, [&] { resumed = true; });  // piggybacks on it
+  sim.run();
+  EXPECT_EQ(vmm.stats().prefetch_aborts, 1u);
+  EXPECT_EQ(done, 1);
+  // The piggybacked page was re-read in the foreground and mapped.
+  EXPECT_TRUE(resumed);
+  EXPECT_TRUE(pte(pid, 5).present());
+  // The other pages gave their frames back and kept their swap copies.
+  for (VPage v = 0; v < 32; ++v) {
+    if (v == 5) continue;
+    EXPECT_FALSE(pte(pid, v).present()) << v;
+    EXPECT_FALSE(pte(pid, v).io_busy()) << v;
+    EXPECT_TRUE(swap.is_allocated(pte(pid, v).slot())) << v;
+  }
+  EXPECT_EQ(vmm.space(pid).resident_pages(), 1);
+  EXPECT_EQ(vmm.free_frames(), vmm.frames().usable_frames() - 1);
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, FailedEvictionWriteKeepsThePageDirty) {
+  const Pid pid = vmm.create_process(256);
+  populate(pid, 0, 100);
+  VPage victim = -1;
+  vmm.set_evict_observer([&](Pid, VPage v) { victim = v; });
+  fail_disk(sim.now(), sim.now() + 60 * kMinute);
+  reclaim_one([&] { return vmm.stats().io_write_failures >= 1; });
+  sim.run();
+  ASSERT_GE(victim, 0);
+  EXPECT_EQ(vmm.stats().io_write_failures, 1u);
+  EXPECT_TRUE(pte(pid, victim).present());
+  EXPECT_TRUE(pte(pid, victim).dirty());
+  EXPECT_FALSE(pte(pid, victim).io_busy());
+  EXPECT_EQ(pte(pid, victim).slot(), kNoSwapSlot);
+  EXPECT_EQ(swap.used_slots(), 0);  // the never-written slot was freed
+  EXPECT_EQ(vmm.space(pid).resident_pages(), 100);
+  EXPECT_EQ(vmm.space(pid).dirty_pages(), 100);
+  EXPECT_EQ(vmm.space(pid).stats().pages_swapped_out, 0u);
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, EvictionWriteFailureStreakStallsReclaimUntilAGoodWrite) {
+  const Pid pid = vmm.create_process(256);
+  populate(pid, 0, 100);
+  fail_disk(sim.now(), sim.now() + 60 * kMinute);
+  const int limit = small_params().write_failure_streak_limit;
+  for (int i = 1; i <= limit; ++i) {
+    EXPECT_FALSE(vmm.reclaim_stalled()) << i;
+    reclaim_one([&, i] {
+      return vmm.stats().io_write_failures >= static_cast<std::uint64_t>(i);
+    });
+    sim.run();
+    EXPECT_EQ(vmm.stats().io_write_failures, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_TRUE(vmm.reclaim_stalled());
+  disk.set_fault_injector(nullptr, 0);
+  const auto free_before = vmm.free_frames();
+  reclaim_one([] { return false; });
+  sim.run();
+  EXPECT_FALSE(vmm.reclaim_stalled());
+  EXPECT_EQ(vmm.free_frames(), free_before + 1);
+  EXPECT_EQ(vmm.space(pid).stats().pages_swapped_out, 1u);
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, FailedWritebackKeepsPagesMappedAndDirty) {
+  const Pid pid = vmm.create_process(64);
+  populate(pid, 0, 40);
+  fail_disk_now();
+  std::int64_t started = -1;
+  vmm.writeback_dirty(pid, 8, IoPriority::kForeground,
+                      [&](std::int64_t n) { started = n; });
+  sim.run();
+  EXPECT_EQ(started, 8);
+  EXPECT_EQ(vmm.stats().io_write_failures, 1u);
+  for (VPage v = 0; v < 8; ++v) {
+    EXPECT_TRUE(pte(pid, v).present()) << v;
+    EXPECT_TRUE(pte(pid, v).dirty()) << v;
+    EXPECT_FALSE(pte(pid, v).io_busy()) << v;
+    EXPECT_EQ(pte(pid, v).slot(), kNoSwapSlot) << v;
+  }
+  EXPECT_EQ(swap.used_slots(), 0);
+  EXPECT_EQ(vmm.space(pid).resident_pages(), 40);
+  EXPECT_EQ(vmm.space(pid).dirty_pages(), 40);
+  EXPECT_EQ(vmm.space(pid).stats().pages_swapped_out, 0u);
+  EXPECT_FALSE(vmm.reclaim_stalled());  // background writes do not stall reclaim
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, RedirtyDuringEvictionWriteCancelsTheEviction) {
+  const Pid pid = vmm.create_process(256);
+  populate(pid, 0, 100);
+  VPage victim = -1;
+  vmm.set_evict_observer([&](Pid, VPage v) { victim = v; });
+  reclaim_one([&] { return victim >= 0; });
+  (void)sim.run(sim.now());  // the write is issued, not yet landed
+  ASSERT_GE(victim, 0);
+  ASSERT_TRUE(pte(pid, victim).io_busy());
+  const SwapSlot slot = pte(pid, victim).slot();
+  ASSERT_NE(slot, kNoSwapSlot);
+  EXPECT_TRUE(vmm.touch(pid, victim, true));  // re-dirty mid-write
+  sim.run();
+  EXPECT_TRUE(pte(pid, victim).present());
+  EXPECT_TRUE(pte(pid, victim).dirty());
+  EXPECT_FALSE(pte(pid, victim).io_busy());
+  EXPECT_EQ(pte(pid, victim).slot(), kNoSwapSlot);
+  EXPECT_FALSE(swap.is_allocated(slot));  // the stale copy was freed
+  EXPECT_EQ(vmm.space(pid).resident_pages(), 100);
+  expect_clean_teardown();
+}
+
+TEST_F(FaultyVmmFixture, ReleaseWithDemandAndPrefetchReadsInFlight) {
+  const Pid pid = swapped_out_process();
+  int done = 0;
+  vmm.prefetch(pid, {PageRun{32, 16}}, [&] { ++done; });
+  bool resumed = false;
+  vmm.fault(pid, 5, false, [&] { resumed = true; });
+  ASSERT_TRUE(pte(pid, 5).io_busy());
+  ASSERT_TRUE(pte(pid, 32).io_busy());
+  vmm.release_process(pid);
+  expect_clean_teardown();
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(done, 1);
+}
+
+TEST_F(FaultyVmmFixture, ReleaseDropsFaultsPiggybackedOnAnInFlightRead) {
+  const Pid pid = swapped_out_process();
+  int resumed = 0;
+  vmm.fault(pid, 10, false, [&] { ++resumed; });  // issues the read
+  vmm.fault(pid, 10, true, [&] { ++resumed; });   // piggybacks on it
+  ASSERT_EQ(vmm.pages_with_io_waiters(), 1u);
+  vmm.release_process(pid);
+  expect_clean_teardown();  // the landing drops the piggybacked fault too
+  EXPECT_EQ(resumed, 0);
 }
 
 }  // namespace
