@@ -1,11 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "disk/swap_device.hpp"
 #include "sim/time.hpp"
@@ -18,6 +18,12 @@
 /// ratio model, so runs are bit-reproducible without consuming any shared
 /// RNG stream per operation. The pool is pure state — the TierManager owns
 /// all timing (compress/decompress costs, writeback I/O).
+///
+/// Storage is flat: entries live in a slab (a vector with a free list), the
+/// LRU is threaded through the slab by index, and an open-addressing table
+/// maps slots to slab indices. Every per-slot operation costs O(1) expected
+/// time and allocates nothing per entry. The table is sized by the pool's
+/// occupancy, not by the swap area, whose slot count is far larger.
 
 namespace apsim {
 
@@ -73,7 +79,7 @@ class CompressedPool {
   std::optional<std::int64_t> store(SwapSlot slot);
 
   [[nodiscard]] bool contains(SwapSlot slot) const {
-    return entries_.contains(slot);
+    return find(slot) != kNone;
   }
 
   /// Mark \p slot most-recently-used (pool load hit). No-op if absent.
@@ -106,9 +112,7 @@ class CompressedPool {
   void set_budget_bytes(std::int64_t bytes) {
     params_.budget_bytes = std::max<std::int64_t>(1, bytes);
   }
-  [[nodiscard]] std::int64_t entry_count() const {
-    return static_cast<std::int64_t>(entries_.size());
-  }
+  [[nodiscard]] std::int64_t entry_count() const { return entry_count_; }
   /// Occupancy as a fraction of the budget, in [0, ~1].
   [[nodiscard]] double occupancy() const {
     return static_cast<double>(bytes_used_) /
@@ -128,18 +132,67 @@ class CompressedPool {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// Slab index of an entry; kNone marks "no entry" (empty index bucket, end
+  /// of a list).
+  using Index = std::int32_t;
+  static constexpr Index kNone = -1;
+
   struct Entry {
+    SwapSlot slot = kNoSwapSlot;
     std::int64_t bytes = 0;
-    bool writing = false;            ///< writeback in flight
-    std::list<SwapSlot>::iterator lru_pos;
+    /// LRU neighbours, toward the hot and the cold end. A free entry chains
+    /// the free list through `colder`.
+    Index hotter = kNone;
+    Index colder = kNone;
+    bool writing = false;  ///< writeback in flight
   };
 
+  /// One open-addressing bucket; `entry == kNone` marks it empty.
+  struct Bucket {
+    SwapSlot slot = kNoSwapSlot;
+    Index entry = kNone;
+  };
+
+  /// Compressed size of a page with compression ratio \p ratio, bytes.
+  [[nodiscard]] static std::int64_t bytes_for_ratio(double ratio);
+
+  static constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
+
+  /// Slab index of \p slot's entry, or kNone.
+  [[nodiscard]] Index find(SwapSlot slot) const {
+    const std::size_t b = bucket_of(slot);
+    return b == kNoBucket ? kNone : index_[b].entry;
+  }
+  /// Index bucket holding \p slot, or kNoBucket.
+  [[nodiscard]] std::size_t bucket_of(SwapSlot slot) const;
+  /// Home bucket of \p slot: multiplicative hash, top bits. Needs a
+  /// non-empty index.
+  [[nodiscard]] std::size_t home_of(SwapSlot slot) const;
+  /// Put \p bucket in the first free bucket from its home on.
+  void place(Bucket bucket);
+  /// Double the index (16 buckets on the first store) and re-place every
+  /// bucket.
+  void grow();
+  /// Remove the entry indexed at \p bucket: unlink it from the LRU, return
+  /// its budget and slab cell, and close the index hole by backward shift.
+  void release(std::size_t bucket);
+
+  void push_hot(Index i);
+  void push_cold(Index i);
+  void unlink(Index i);
+
   CompressedPoolParams params_;
-  std::map<SwapSlot, Entry> entries_;
-  /// LRU order: front = hottest, back = coldest. Entries under writeback
-  /// are removed from the list (they have no position until the write
-  /// fails and they rejoin at the cold end).
-  std::list<SwapSlot> lru_;
+  std::vector<Entry> slab_;
+  Index free_head_ = kNone;
+  /// LRU ends. Entries under writeback are unlinked (they have no position
+  /// until the write fails and they rejoin at the cold end).
+  Index hottest_ = kNone;
+  Index coldest_ = kNone;
+  /// Power-of-two slot -> entry index, linear probing at a load of at most
+  /// one half; empty until the first store.
+  std::vector<Bucket> index_;
+  int index_shift_ = 0;  ///< 64 - log2(index_.size()), set by grow()
+  std::int64_t entry_count_ = 0;
   std::int64_t bytes_used_ = 0;
   Stats stats_;
 };

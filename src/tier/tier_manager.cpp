@@ -75,38 +75,30 @@ bool TierManager::pool_faulted() {
 void TierManager::write(SlotRun run, IoPriority priority,
                         IoCallback on_complete) {
   assert(run.count > 0);
+  // Slots are visited in order, so the pages the pool refuses extend the
+  // last disk run or start the next one.
   std::int64_t pooled = 0;
-  std::vector<SwapSlot> to_disk;
+  std::vector<SlotRun> disk_runs;
   for (std::int64_t i = 0; i < run.count; ++i) {
     const SwapSlot slot = run.start + i;
     if (pool_faulted()) {
       ++stats_.stores_faulted;
-      to_disk.push_back(slot);
-      continue;
-    }
-    if (pool_.store(slot)) {
+    } else if (pool_.store(slot)) {
       ++pooled;
+      continue;
     } else {
       ++stats_.stores_rejected;
-      to_disk.push_back(slot);
+    }
+    if (!disk_runs.empty() &&
+        disk_runs.back().start + disk_runs.back().count == slot) {
+      ++disk_runs.back().count;
+    } else {
+      disk_runs.push_back(SlotRun{slot, 1});
     }
   }
 
-  auto pending = std::make_shared<PendingIo>();
-  pending->on_complete = std::move(on_complete);
-  const auto disk_runs = coalesce(std::move(to_disk));
-  pending->remaining = (pooled > 0 ? 1 : 0) +
-                       static_cast<int>(disk_runs.size());
-
-  if (pooled > 0) {
-    sim_.after(params_.compress_cost * pooled,
-               [this, pending] { finish_part(pending, IoResult::success()); });
-  }
-  for (const SlotRun& dr : disk_runs) {
-    swap_.write(dr, priority, [this, pending](IoResult result) {
-      finish_part(pending, result);
-    });
-  }
+  issue(pooled, params_.compress_cost * pooled, disk_runs, &SwapDevice::write,
+        priority, std::move(on_complete));
   log_.trace("write [%lld,+%lld): %lld pooled, %zu disk runs",
              static_cast<long long>(run.start),
              static_cast<long long>(run.count),
@@ -146,24 +138,43 @@ void TierManager::read(SlotRun run, IoPriority priority,
     stats_.pool_misses += static_cast<std::uint64_t>(seg.count);
   }
 
-  auto pending = std::make_shared<PendingIo>();
-  pending->on_complete = std::move(on_complete);
-  pending->remaining = (pool_pages > 0 ? 1 : 0) +
-                       static_cast<int>(disk_segs.size());
-
   if (tracer_ != nullptr) {
     tracer_->instant(trace_track_, "tier", "load",
                      {{"pool_pages", static_cast<double>(pool_pages)},
                       {"disk_pages", static_cast<double>(run.count - pool_pages)},
                       {"disk_segs", static_cast<double>(disk_segs.size())}});
   }
+  issue(pool_pages, params_.decompress_cost * pool_pages, disk_segs,
+        &SwapDevice::read, priority, std::move(on_complete));
+}
 
+void TierManager::issue(std::int64_t pool_pages, SimDuration pool_cost,
+                        const std::vector<SlotRun>& disk_runs,
+                        DiskTransfer transfer, IoPriority priority,
+                        IoCallback on_complete) {
+  // A run that resolves to one part needs no join: that part completes
+  // with the caller's callback.
+  if (disk_runs.empty()) {
+    sim_.after(pool_cost, [cb = std::move(on_complete)] {
+      if (cb) cb(IoResult::success());
+    });
+    return;
+  }
+  if (pool_pages == 0 && disk_runs.size() == 1) {
+    (swap_.*transfer)(disk_runs.front(), priority, std::move(on_complete));
+    return;
+  }
+
+  auto pending = std::make_shared<PendingIo>();
+  pending->on_complete = std::move(on_complete);
+  pending->remaining = (pool_pages > 0 ? 1 : 0) +
+                       static_cast<int>(disk_runs.size());
   if (pool_pages > 0) {
-    sim_.after(params_.decompress_cost * pool_pages,
+    sim_.after(pool_cost,
                [this, pending] { finish_part(pending, IoResult::success()); });
   }
-  for (const SlotRun& seg : disk_segs) {
-    swap_.read(seg, priority, [this, pending](IoResult result) {
+  for (const SlotRun& r : disk_runs) {
+    (swap_.*transfer)(r, priority, [this, pending](IoResult result) {
       finish_part(pending, result);
     });
   }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "disk/disk.hpp"
 #include "disk/swap_device.hpp"
@@ -124,6 +125,14 @@ class TierManager {
     IoCallback on_complete;
   };
   void finish_part(const std::shared_ptr<PendingIo>& pending, IoResult result);
+
+  using DiskTransfer = void (SwapDevice::*)(SlotRun, IoPriority, IoCallback);
+  /// Issue a run's parts: \p pool_pages pool pages that complete after
+  /// \p pool_cost, and \p disk_runs through \p transfer. \p on_complete
+  /// fires once, after the last part; a single part is handed it directly.
+  void issue(std::int64_t pool_pages, SimDuration pool_cost,
+             const std::vector<SlotRun>& disk_runs, DiskTransfer transfer,
+             IoPriority priority, IoCallback on_complete);
 
   void on_slot_released(SwapSlot slot);
   /// True when the injector says pool admissions fail right now.

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
 
@@ -173,6 +174,55 @@ TEST(GoldenRun, ExtractedMatrixPolicyMatchesPreRefactorGolden) {
           << "job " << j;
     }
   }
+}
+
+// The perfbench chaos_recover config at half its length: LU.W on two
+// overcommitted nodes with a 4 MB compressed tier, 3 s checkpoints and
+// dyn-thresh autotuning; node 1 crashes, both jobs restart on node 0, and a
+// window of transient disk errors hits node 0 while it pages for both. The
+// only pin that runs the tier (its pool, writeback and fault draws) together
+// with checkpoint/restart.
+ExperimentConfig tiered_chaos_config() {
+  ExperimentConfig config;
+  config.app = NpbApp::kLU;
+  config.cls = NpbClass::kW;
+  config.nodes = 2;
+  config.instances = 2;
+  config.node_memory_mb = 64.0;
+  config.usable_memory_mb = 22.0;
+  config.quantum = 4 * kSecond;
+  config.iterations_scale = 0.25;
+  config.checkpoint_interval = 3 * kSecond;
+  config.tier_mb = 4.0;
+  config.autotune = true;
+  config.autotune_controller = "dyn-thresh";
+  config.faults.add(FaultSpec::parse("node_crash node=1 at_s=10"));
+  config.faults.add(
+      FaultSpec::parse("disk_transient node=0 start_s=15 end_s=30 p=0.01"));
+  return config;
+}
+
+TEST(GoldenRun, TieredCheckpointedRunWithCrashPinned) {
+  // Recorded before the compressed pool moved from a std::map + std::list
+  // to flat slab storage; the pool's LRU order and its fault-RNG draws feed
+  // every value below.
+  const RunOutcome out = run_gang(tiered_chaos_config());
+  EXPECT_EQ(out.makespan, 189575481966);
+  EXPECT_EQ(out.tier_pool_hits, 40490u);
+  EXPECT_EQ(out.tier_pool_misses, 97268u);
+  EXPECT_EQ(out.tier_pages_stored, 29486u);
+  EXPECT_EQ(out.tier_bytes_stored, 54025709u);
+  EXPECT_EQ(out.tier_writeback_pages, 4736u);
+  EXPECT_EQ(out.checkpoints_taken, 124u);
+  EXPECT_EQ(out.bytes_checkpointed, 970301440u);
+  EXPECT_EQ(out.pages_staged, 8408u);
+  EXPECT_EQ(out.jobs_recovered, 2);
+  EXPECT_DOUBLE_EQ(out.lost_work_ms, 383.13);
+  EXPECT_EQ(out.disk_blocks_read, 97268u);
+  EXPECT_EQ(out.disk_blocks_written, 168717u);
+  EXPECT_EQ(out.io_errors, 22u);
+  EXPECT_EQ(out.nodes_failed, 1);
+  EXPECT_EQ(out.jobs_failed, 0);
 }
 
 TEST(GoldenRun, TracingDoesNotPerturbTheCounters) {
