@@ -643,7 +643,9 @@ void Vmm::fire_io_waiters(Pid pid, VPage vpage) {
 // holds them.
 
 bool Vmm::reserve_for_read(AddressSpace& as, VPage v, SwapSlot slot) {
-  if (!as.pt_.valid(v)) return false;
+  // A never-swapped page "holds" kNoSwapSlot, which is also the slot a
+  // backward read-ahead from slot 0 asks for.
+  if (slot == kNoSwapSlot || !as.pt_.valid(v)) return false;
   Pte pte = as.pt_.at(v);
   if (pte.present() || pte.io_busy() || pte.slot() != slot) return false;
   const auto frame = frames_.alloc(as.pid_, v);

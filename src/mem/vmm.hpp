@@ -474,9 +474,9 @@ class Vmm {
   // counters, referenced bits and reclaim kicks.
 
   /// Reserve a frame for reading page \p v from swap slot \p slot and mark
-  /// the page in flight. False, changing nothing, unless \p v is a valid
-  /// page that is neither resident nor in flight, holds exactly \p slot,
-  /// and a frame is free.
+  /// the page in flight. False, changing nothing, unless \p slot is a real
+  /// slot (not kNoSwapSlot), \p v is a valid page that is neither resident
+  /// nor in flight, holds exactly \p slot, and a frame is free.
   bool reserve_for_read(AddressSpace& as, VPage v, SwapSlot slot);
   /// A read of [lo, lo + count) landed: map the pages, fire the faults
   /// piggybacked on them and count the page-ins. Only \p hot is marked

@@ -131,6 +131,34 @@ TEST_F(VmmFixture, ReadAheadBringsNeighbours) {
   EXPECT_TRUE(as.page_table().at(30).referenced());
 }
 
+TEST_F(VmmFixture, ReadAheadStopsAtTheBottomOfTheSwapArea) {
+  // Page 5 holds slot 0, and page 4 below it was never touched. The
+  // backward read-ahead from slot 0 asks for slot -1, which is also the
+  // "no slot" value of a never-swapped page: page 4 must not be read from
+  // below the swap area and mapped without its zero-fill fault.
+  const Pid pid = vmm.create_process(64);
+  populate(pid, 5, 6);
+  populate(pid, 40, 42);
+  force_free(128);
+  const auto& as = vmm.space(pid);
+  ASSERT_EQ(as.resident_pages(), 0);
+  ASSERT_EQ(as.page_table().at(5).slot(), 0);
+  ASSERT_EQ(as.page_table().at(4).slot(), kNoSwapSlot);
+  ASSERT_EQ(as.stats().minor_faults, 3u);
+
+  ASSERT_TRUE(sync_fault(pid, 5, false));
+  EXPECT_TRUE(as.page_table().at(5).present());
+  EXPECT_FALSE(as.page_table().at(4).present());
+  EXPECT_EQ(as.resident_pages(), 1);
+  EXPECT_EQ(as.stats().pages_swapped_in, 1u);
+
+  // Page 4's first touch is a zero-fill minor fault.
+  EXPECT_FALSE(vmm.touch(pid, 4, false));
+  ASSERT_TRUE(sync_fault(pid, 4, false));
+  EXPECT_EQ(as.stats().minor_faults, 4u);
+  EXPECT_TRUE(as.page_table().at(4).ever_touched());
+}
+
 TEST_F(VmmFixture, WriteTouchInvalidatesSwapCopy) {
   const Pid pid = vmm.create_process(256);
   populate(pid, 0, 100);
