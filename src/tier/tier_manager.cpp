@@ -12,19 +12,23 @@ namespace apsim {
 
 namespace {
 
-/// Sort slots and merge adjacent ones into contiguous runs, so pool
-/// writeback and the disk remainder of a swap-out stream as few transfers
-/// as the slot layout allows.
+/// Extend the last run with \p slot when it directly follows it, else start
+/// a new run.
+void append_slot(std::vector<SlotRun>& runs, SwapSlot slot) {
+  if (!runs.empty() && runs.back().start + runs.back().count == slot) {
+    ++runs.back().count;
+  } else {
+    runs.push_back(SlotRun{slot, 1});
+  }
+}
+
+/// Sort slots and merge adjacent ones into contiguous runs, so a pool
+/// writeback batch, which arrives in LRU order, streams as few transfers as
+/// the slot layout allows.
 std::vector<SlotRun> coalesce(std::vector<SwapSlot> slots) {
   std::sort(slots.begin(), slots.end());
   std::vector<SlotRun> runs;
-  for (const SwapSlot slot : slots) {
-    if (!runs.empty() && runs.back().start + runs.back().count == slot) {
-      ++runs.back().count;
-    } else {
-      runs.push_back(SlotRun{slot, 1});
-    }
-  }
+  for (const SwapSlot slot : slots) append_slot(runs, slot);
   return runs;
 }
 
@@ -89,16 +93,11 @@ void TierManager::write(SlotRun run, IoPriority priority,
     } else {
       ++stats_.stores_rejected;
     }
-    if (!disk_runs.empty() &&
-        disk_runs.back().start + disk_runs.back().count == slot) {
-      ++disk_runs.back().count;
-    } else {
-      disk_runs.push_back(SlotRun{slot, 1});
-    }
+    append_slot(disk_runs, slot);
   }
 
-  issue(pooled, params_.compress_cost * pooled, disk_runs, &SwapDevice::write,
-        priority, std::move(on_complete));
+  submit_parts(pooled, params_.compress_cost, disk_runs, &SwapDevice::write,
+               priority, std::move(on_complete));
   log_.trace("write [%lld,+%lld): %lld pooled, %zu disk runs",
              static_cast<long long>(run.start),
              static_cast<long long>(run.count),
@@ -126,11 +125,8 @@ void TierManager::read(SlotRun run, IoPriority priority,
     if (pool_.contains(slot)) {
       pool_.touch(slot);
       ++pool_pages;
-    } else if (!disk_segs.empty() &&
-               disk_segs.back().start + disk_segs.back().count == slot) {
-      ++disk_segs.back().count;
     } else {
-      disk_segs.push_back(SlotRun{slot, 1});
+      append_slot(disk_segs, slot);
     }
   }
   stats_.pool_hits += static_cast<std::uint64_t>(pool_pages);
@@ -144,14 +140,15 @@ void TierManager::read(SlotRun run, IoPriority priority,
                       {"disk_pages", static_cast<double>(run.count - pool_pages)},
                       {"disk_segs", static_cast<double>(disk_segs.size())}});
   }
-  issue(pool_pages, params_.decompress_cost * pool_pages, disk_segs,
-        &SwapDevice::read, priority, std::move(on_complete));
+  submit_parts(pool_pages, params_.decompress_cost, disk_segs,
+               &SwapDevice::read, priority, std::move(on_complete));
 }
 
-void TierManager::issue(std::int64_t pool_pages, SimDuration pool_cost,
-                        const std::vector<SlotRun>& disk_runs,
-                        DiskTransfer transfer, IoPriority priority,
-                        IoCallback on_complete) {
+void TierManager::submit_parts(std::int64_t pool_pages, SimDuration page_cost,
+                               const std::vector<SlotRun>& disk_runs,
+                               DiskTransfer transfer, IoPriority priority,
+                               IoCallback on_complete) {
+  const SimDuration pool_cost = page_cost * pool_pages;
   // A run that resolves to one part needs no join: that part completes
   // with the caller's callback.
   if (disk_runs.empty()) {

@@ -127,12 +127,14 @@ class TierManager {
   void finish_part(const std::shared_ptr<PendingIo>& pending, IoResult result);
 
   using DiskTransfer = void (SwapDevice::*)(SlotRun, IoPriority, IoCallback);
-  /// Issue a run's parts: \p pool_pages pool pages that complete after
-  /// \p pool_cost, and \p disk_runs through \p transfer. \p on_complete
-  /// fires once, after the last part; a single part is handed it directly.
-  void issue(std::int64_t pool_pages, SimDuration pool_cost,
-             const std::vector<SlotRun>& disk_runs, DiskTransfer transfer,
-             IoPriority priority, IoCallback on_complete);
+  /// Submit a run's parts: \p pool_pages pool pages that complete together
+  /// after \p page_cost each, and \p disk_runs through \p transfer.
+  /// \p on_complete fires once, after the last part; a single part is
+  /// handed it directly.
+  void submit_parts(std::int64_t pool_pages, SimDuration page_cost,
+                    const std::vector<SlotRun>& disk_runs,
+                    DiskTransfer transfer, IoPriority priority,
+                    IoCallback on_complete);
 
   void on_slot_released(SwapSlot slot);
   /// True when the injector says pool admissions fail right now.

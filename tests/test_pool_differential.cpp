@@ -152,6 +152,34 @@ TEST(PoolDifferential, RandomSequencesMatchTheMapAndListPool) {
   }
 }
 
+TEST(PoolDifferential, WritebackOfARecycledSlotLeavesTheNewEntryAlone) {
+  // Slot 0 is handed to writeback, dropped (its page was freed) and stored
+  // again while the write is in flight. The stale write's completion must
+  // neither drop the fresh entry nor move it; a failed write of slot 1
+  // sends it back to the cold end.
+  const CompressedPoolParams params{.budget_bytes = 1 << 20,
+                                    .model = TierRatioModel::kText,
+                                    .seed = 5};
+  CompressedPool pool(params);
+  oracle::CompressedPool ref(params);
+  for (SwapSlot s = 0; s < 4; ++s) ASSERT_EQ(pool.store(s), ref.store(s));
+  const auto batch = pool.begin_writeback(2);
+  ASSERT_EQ(batch, ref.begin_writeback(2));
+  ASSERT_EQ(batch, (std::vector<SwapSlot>{0, 1}));
+  ASSERT_TRUE(pool.drop(0) && ref.drop(0));
+  ASSERT_EQ(pool.store(0), ref.store(0));
+  pool.finish_writeback(0, true);
+  ref.finish_writeback(0, true);
+  EXPECT_TRUE(pool.contains(0));
+  pool.finish_writeback(1, false);
+  ref.finish_writeback(1, false);
+  ASSERT_TRUE(same_state(pool, ref));
+  const auto all = std::numeric_limits<std::int64_t>::max();
+  const auto order = pool.begin_writeback(all);
+  EXPECT_EQ(order, (std::vector<SwapSlot>{1, 2, 3, 0}));
+  EXPECT_EQ(order, ref.begin_writeback(all));
+}
+
 TEST(PoolDifferential, IndexDoublesManyTimesAndKeepsEveryEntry) {
   // 30000 admitted entries take the index from 16 buckets through twelve
   // doublings; then every other entry goes, half of the rest are touched,
