@@ -66,19 +66,4 @@ void PageTable::clear_epoch_tags() {
   std::fill(m.evicted.begin(), m.evicted.end(), 0);
 }
 
-PageTable::HotRows PageTable::hot_rows() {
-  Meta& m = rw();
-  HotRows rows;
-  rows.present = m.present.data();
-  rows.referenced = m.referenced.data();
-  rows.dirty = m.dirty.data();
-  rows.io_busy = m.io_busy.data();
-  rows.ever_touched = m.ever_touched.data();
-  rows.has_slot = m.has_slot.data();
-  rows.ws_seen = m.ws_seen.data();
-  rows.slot = m.slot.data();
-  rows.last_ref = m.last_ref.data();
-  return rows;
-}
-
 }  // namespace apsim

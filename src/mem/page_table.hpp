@@ -14,7 +14,7 @@
 /// metadata is stored structure-of-arrays: one `uint64_t` bitmap per hot
 /// flag (present/referenced/dirty/io_busy/ever_touched/has_slot plus the
 /// two working-set epoch tags) and plain arrays for frame/slot/last_ref/age.
-/// Reclaim sweeps, residency checks and bgwrite dirty scans walk the
+/// Reclaim sweeps, the touch engine's runs and bgwrite dirty scans walk the
 /// bitmaps word-at-a-time with `std::countr_zero`; call sites that deal
 /// with a single page go through the `Pte` accessor view, which keeps the
 /// old field-per-page reading while compiling down to single bit ops.
@@ -148,7 +148,12 @@ class PageTable {
   }
 
   /// Row pointers for a hot loop; detaches from any snapshot first.
-  [[nodiscard]] HotRows hot_rows();
+  [[nodiscard]] HotRows hot_rows() {
+    Meta& m = rw();
+    return {m.present.data(),  m.referenced.data(),   m.dirty.data(),
+            m.io_busy.data(),  m.ever_touched.data(), m.has_slot.data(),
+            m.ws_seen.data(),  m.slot.data(),         m.last_ref.data()};
+  }
 
   /// Read-only metadata view (never detaches).
   [[nodiscard]] const Meta& ro() const { return *meta_; }

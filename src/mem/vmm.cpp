@@ -1,6 +1,7 @@
 #include "mem/vmm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <utility>
@@ -49,7 +50,6 @@ Pid Vmm::create_process(std::int64_t num_pages) {
 void Vmm::release_process(Pid pid) {
   auto& as = space(pid);
   as.alive_ = false;
-  as.drop_watches();  // the residency cache dies with the process
   auto& pt = as.page_table();
   // Only live pages (present or holding a swap copy) need teardown work;
   // every in-flight page is live too (a read keeps its slot, a write keeps
@@ -81,140 +81,163 @@ const AddressSpace& Vmm::space(Pid pid) const {
 
 // ---------------------------------------------------------------------------
 // Hot path
+//
+// The touch rule: touching a resident page sets its referenced bit and
+// last_ref, marks it seen in this working-set epoch and, for a write, dirty.
+// A page dirtied anew drops its swap copy, now stale, unless a transfer holds
+// the page (its landing drops the copy then). The rule has one page form
+// (touch_page) and one word form (touch_word); every touch goes through one.
+// Each path tests its first page through the Pte view, which never detaches,
+// and takes hot_rows(), which detaches the table from a snapshot, only once
+// there is a page to touch.
 
 bool Vmm::touch(Pid pid, VPage vpage, bool write) {
   return touch(space(pid), vpage, write);
 }
 
 bool Vmm::touch(AddressSpace& as, VPage vpage, bool write) {
-  assert(as.page_table().valid(vpage));
-  Pte pte = as.page_table().at(vpage);
-  if (!pte.present()) return false;
-  touch_resident(as, pte, write);
+  if (!as.pt_.at(vpage).present()) return false;
+  as.ws_pages_ += touch_page(as, as.pt_.hot_rows(), vpage, sim_.now(), write);
   return true;
 }
 
-void Vmm::touch_resident(AddressSpace& as, Pte pte, bool write) {
-  pte.set_referenced(true);
-  pte.set_last_ref(sim_.now());
-  if (!pte.ws_seen()) {
-    pte.set_ws_seen();
-    ++as.ws_pages_;
-  }
-  if (write && !pte.dirty()) {
-    pte.set_dirty(true);
+inline std::int64_t Vmm::touch_page(AddressSpace& as,
+                                    const PageTable::HotRows& rows, VPage v,
+                                    SimTime now, bool write) {
+  const std::size_t w = page_word(v);
+  const std::uint64_t bit = page_bit(v);
+  rows.referenced[w] |= bit;
+  rows.last_ref[v] = now;
+  const bool first_in_epoch = (rows.ws_seen[w] & bit) == 0;
+  rows.ws_seen[w] |= bit;
+  if (write && (rows.dirty[w] & bit) == 0) {
+    rows.dirty[w] |= bit;
     ++as.dirty_resident_;
-    // The swap copy (if any) is now stale. With I/O in flight the completion
-    // handler performs the invalidation instead.
-    if (!pte.io_busy()) drop_slot(pte);
-  }
-}
-
-bool Vmm::region_fully_resident(AddressSpace& as, VPage start,
-                                std::int64_t pages) {
-  if (pages <= 0) return true;
-  assert(as.page_table().valid(start) &&
-         as.page_table().valid(start + pages - 1));
-  // O(1) outs before consulting (or building) a watch.
-  if (as.resident_ >= as.num_pages()) return true;  // whole space resident
-  if (as.resident_ < pages) return false;           // cannot possibly cover it
-  for (const auto& w : as.watched_) {
-    if (w.active && w.start == start && w.pages == pages) {
-      return w.nonresident == 0;
+    if ((rows.io_busy[w] & bit) == 0 && (rows.has_slot[w] & bit) != 0) {
+      swap_.free_slot(rows.slot[v]);
+      rows.slot[v] = kNoSwapSlot;
+      rows.has_slot[w] &= ~bit;
     }
   }
-  // First query for this region: register a watch (round-robin slot) with
-  // one popcount pass over the present bitmap. From here on the unmap hooks
-  // keep the count exact.
-  auto& w = as.watched_[as.watch_cursor_];
-  as.watch_cursor_ = (as.watch_cursor_ + 1) % AddressSpace::kWatchedRegions;
-  w.active = true;
-  w.start = start;
-  w.pages = pages;
-  w.nonresident = pages - as.page_table().count_present(start, pages);
-  return w.nonresident == 0;
+  return first_in_epoch ? 1 : 0;
+}
+
+std::int64_t Vmm::touch_word(AddressSpace& as, const PageTable::HotRows& rows,
+                             std::size_t w, std::uint64_t mask, bool write) {
+  rows.referenced[w] |= mask;
+  const std::uint64_t first_in_epoch = mask & ~rows.ws_seen[w];
+  rows.ws_seen[w] |= mask;
+  if (write) {
+    const std::uint64_t dirtied = mask & ~rows.dirty[w];
+    rows.dirty[w] |= mask;
+    as.dirty_resident_ += std::popcount(dirtied);
+    std::uint64_t stale = dirtied & ~rows.io_busy[w] & rows.has_slot[w];
+    rows.has_slot[w] &= ~stale;
+    for (; stale != 0; stale &= stale - 1) {
+      const std::size_t v = (w << 6) + std::countr_zero(stale);
+      swap_.free_slot(rows.slot[v]);
+      rows.slot[v] = kNoSwapSlot;
+    }
+  }
+  return std::popcount(first_in_epoch);
 }
 
 Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
                              std::int64_t begin, std::int64_t budget) {
   TouchRun out;
   if (budget <= 0) return out;
+  const VPage base = plan.region_start;
+  const std::int64_t rp = plan.region_pages;
+  std::int64_t ws_new = 0;
+  std::int64_t applied = 0;  // touches before the first absent page
+  VPage absent = -1;         // that page, when the run meets one
 
-  // Closed-form fast-forward: a sequential or (non-negative) strided walk
-  // over a fully-resident region revisits pages with period
-  // region_pages / gcd(step, region_pages). All touches of a run share one
-  // simulated instant, so re-touching a page is a no-op: applying the
-  // effects once per distinct page — in first-touch order, which preserves
-  // the order of stale swap-slot frees — is bit-identical to the scalar
-  // loop, and no fault can interrupt a fully-resident run.
+  // Word form: touch [lo, hi) in ascending order up to its first absent
+  // page. Returns false when it met one.
+  const auto touch_words = [&](VPage lo, VPage hi) {
+    if (!as.pt_.at(lo).present()) {
+      absent = lo;
+      return false;
+    }
+    const PageTable::HotRows rows = as.pt_.hot_rows();
+    VPage v = lo;
+    while (v < hi && absent < 0) {
+      const std::size_t w = page_word(v);
+      const auto from = static_cast<int>(v & 63);
+      const auto n = static_cast<int>(std::min<VPage>(hi - v, 64 - from));
+      std::uint64_t mask = (~std::uint64_t{0} >> (64 - n)) << from;
+      // Cut the mask before the first absent page (all ones when none is).
+      const std::uint64_t missing = mask & ~rows.present[w];
+      mask &= (missing & -missing) - 1;
+      ws_new += touch_word(as, rows, w, mask, plan.write);
+      if (missing != 0) {
+        absent = static_cast<VPage>((w << 6) + std::countr_zero(missing));
+      }
+      v = absent < 0 ? v + n : absent;
+    }
+    std::fill(rows.last_ref + lo, rows.last_ref + v, sim_.now());
+    applied += v - lo;
+    return absent < 0;
+  };
+
+  // Page form: touch up to `count` pages drawn from next_page(), in order,
+  // stopping at the first absent one.
+  const auto touch_pages = [&](std::int64_t count, auto next_page) {
+    VPage v = next_page();
+    if (!as.pt_.at(v).present()) {
+      absent = v;
+      return;
+    }
+    const PageTable::HotRows rows = as.pt_.hot_rows();
+    const SimTime now = sim_.now();
+    while (true) {
+      ws_new += touch_page(as, rows, v, now, plan.write);
+      if (++applied == count) return;
+      v = next_page();
+      if ((rows.present[page_word(v)] & page_bit(v)) == 0) {
+        absent = v;
+        return;
+      }
+    }
+  };
+
   if ((plan.pattern == TouchPattern::kSequential ||
        plan.pattern == TouchPattern::kStrided) &&
-      plan.stride >= 0 &&
-      region_fully_resident(as, plan.region_start, plan.region_pages)) {
-    const std::int64_t rp = plan.region_pages;
+      plan.stride >= 0) {
+    // An orbit: touch i is region page (i * step) mod rp, so the pages of
+    // one period, rp / gcd(step, rp) touches, are distinct and later touches
+    // repeat them. All touches of a run share one simulated instant, where
+    // a repeated touch is a no-op, so touching each distinct page once, in
+    // first-touch order, up to the first absent one, is bit-identical to
+    // the scalar loop; that order also keeps the order of stale swap-slot
+    // frees. With no absent page the run consumes its whole budget.
     const std::int64_t step =
         plan.pattern == TouchPattern::kSequential ? 1 : plan.stride % rp;
-    const std::int64_t period = step == 0 ? 1 : rp / std::gcd(step, rp);
-    const std::int64_t distinct = std::min(budget, period);
-    // Walk the orbit incrementally — idx is page_at(begin + k) - region_start
-    // ((begin + k) * stride mod rp, reduced factor-wise so the products stay
-    // in range), advanced by one add and a conditional subtract per touch
-    // instead of a divide.
-    std::int64_t idx =
-        plan.pattern == TouchPattern::kSequential
-            ? begin % rp
-            : ((begin % rp) * step) % rp;
-    // Raw bitmap rows, hoisted out of the loop: the simulated instant and
-    // the write flag are loop invariants, and per-page effects compile down
-    // to single bit ops against these rows instead of accessor calls the
-    // compiler cannot hoist through the stores.
-    const PageTable::HotRows rows = as.page_table().hot_rows();
-    const SimTime now = sim_.now();
-    const bool write = plan.write;
-    std::int64_t ws_new = 0;
-    for (std::int64_t k = 0; k < distinct; ++k) {
-      const VPage v = plan.region_start + idx;
-      const std::size_t w = page_word(v);
-      const std::uint64_t bit = page_bit(v);
-      rows.referenced[w] |= bit;
-      rows.last_ref[v] = now;
-      if ((rows.ws_seen[w] & bit) == 0) {
-        rows.ws_seen[w] |= bit;
-        ++ws_new;
+    std::int64_t idx = ((begin % rp) * step) % rp;
+    if (step == 1) {
+      // The distinct pages are [idx, rp), then [0, ...): both ascending, so
+      // ascending words keep first-touch order.
+      const std::int64_t n = std::min(budget, rp);
+      const std::int64_t head = std::min(n, rp - idx);
+      if (touch_words(base + idx, base + idx + head) && head < n) {
+        touch_words(base, base + (n - head));
       }
-      if (write && (rows.dirty[w] & bit) == 0) {
-        rows.dirty[w] |= bit;
-        ++as.dirty_resident_;
-        // Stale swap copy: same invalidation rule as touch_resident.
-        if ((rows.io_busy[w] & bit) == 0 && (rows.has_slot[w] & bit) != 0) {
-          swap_.free_slot(rows.slot[v]);
-          rows.slot[v] = kNoSwapSlot;
-          rows.has_slot[w] &= ~bit;
-        }
-      }
-      idx += step;
-      if (idx >= rp) idx -= rp;
+    } else {
+      touch_pages(std::min(budget, rp / std::gcd(step, rp)), [&] {
+        const VPage v = base + idx;
+        idx += step;
+        if (idx >= rp) idx -= rp;
+        return v;
+      });
     }
-    as.ws_pages_ += ws_new;
-    out.consumed = budget;
-    return out;
+  } else {
+    std::int64_t i = begin;
+    touch_pages(budget, [&] { return plan.page_at(i++); });
   }
-
-  // Generic batch loop: one virtual call and one page_at per touch, but no
-  // per-touch round trip through the caller.
-  auto& pt = as.page_table();
-  for (std::int64_t k = 0; k < budget; ++k) {
-    const VPage v = plan.page_at(begin + k);
-    Pte pte = pt.at(v);
-    if (!pte.present()) {
-      out.faulted = true;
-      out.fault_page = v;
-      out.consumed = k;
-      return out;
-    }
-    touch_resident(as, pte, plan.write);
-  }
-  out.consumed = budget;
+  as.ws_pages_ += ws_new;
+  out.faulted = absent >= 0;
+  out.fault_page = absent;
+  out.consumed = out.faulted ? applied : budget;
   return out;
 }
 
@@ -749,7 +772,6 @@ void Vmm::unmap_page(AddressSpace& as, VPage v) {
   pte.set_frame(kNoFrame);
   pte.set_present(false);
   --as.resident_;
-  as.note_unmapped(v);
   if (pte.dirty()) {
     pte.set_dirty(false);
     --as.dirty_resident_;

@@ -122,35 +122,6 @@ class AddressSpace {
  private:
   friend class Vmm;
 
-  /// Residency cache: one watched region with an exact count of its
-  /// non-resident pages. Registered lazily by Vmm::region_fully_resident
-  /// (one O(region) scan), then kept exact by note_mapped/note_unmapped at
-  /// every present-bit transition — so the batched touch engine's
-  /// fully-resident test is O(#watches) per slice with no page-table walk,
-  /// and eviction/reclaim/tier-writeback/fault paths invalidate it for free
-  /// (they all unmap through the VMM, which bumps the counter).
-  struct WatchedRegion {
-    VPage start = 0;
-    std::int64_t pages = 0;
-    std::int64_t nonresident = 0;
-    bool active = false;
-  };
-  static constexpr int kWatchedRegions = 8;
-
-  void note_mapped(VPage v) {
-    for (auto& w : watched_) {
-      if (w.active && v >= w.start && v < w.start + w.pages) --w.nonresident;
-    }
-  }
-  void note_unmapped(VPage v) {
-    for (auto& w : watched_) {
-      if (w.active && v >= w.start && v < w.start + w.pages) ++w.nonresident;
-    }
-  }
-  void drop_watches() {
-    for (auto& w : watched_) w.active = false;
-  }
-
   Pid pid_;
   PageTable pt_;
   std::int64_t resident_ = 0;
@@ -158,8 +129,6 @@ class AddressSpace {
   std::int64_t ws_pages_ = 0;
   VPage writeback_hand_ = 0;  ///< background-writer sweep position
   bool alive_ = true;
-  WatchedRegion watched_[kWatchedRegions];
-  int watch_cursor_ = 0;
   Stats stats_;
 };
 
@@ -218,19 +187,11 @@ class Vmm {
   /// bit-identical to calling the scalar touch() once per touch: all touches
   /// in a run happen at one instant of simulated time, so per-page effects
   /// are idempotent and the engine may apply them once per distinct page in
-  /// first-touch order. Sequential/strided plans over a fully-resident
-  /// region (per the residency cache) take a closed-form fast-forward that
-  /// touches each distinct page of the orbit once instead of looping per
-  /// touch.
+  /// first-touch order. Sequential and strided plans walk one period of
+  /// their orbit and stop at its first absent page; a step-1 orbit does so
+  /// a bitmap word (64 pages) at a time.
   [[nodiscard]] TouchRun touch_run(AddressSpace& as, const TouchPlan& plan,
                                    std::int64_t begin, std::int64_t budget);
-
-  /// True iff every page of [start, start + pages) is resident. Served from
-  /// the per-space residency cache; registers a watch on first query for a
-  /// region (one O(pages) scan) and is O(1) afterwards. Public so tests can
-  /// probe cache invalidation directly.
-  [[nodiscard]] bool region_fully_resident(AddressSpace& as, VPage start,
-                                           std::int64_t pages);
 
   /// Handle a fault on a non-resident page. \p resume runs (via an event)
   /// once the page is mapped; the caller keeps the process blocked until
@@ -316,8 +277,6 @@ class Vmm {
   /// the image's `when` — this stack continues bit-identically to the one
   /// that was captured. Intended for a freshly built Vmm with the same
   /// frame count and swap geometry; any existing state is discarded.
-  /// Residency-cache watches are not part of the image (they re-register
-  /// lazily and never change observable results).
   void restore_snapshot(const MemSnapshot& snap);
 
   // ---- failure reporting ----
@@ -433,8 +392,19 @@ class Vmm {
     TraceSpan span;  ///< ends when the waiter is released (destroyed)
   };
 
-  /// Shared body of touch()/touch_run() for a page already known resident.
-  void touch_resident(AddressSpace& as, Pte pte, bool write);
+  // The touch rule for resident pages (see vmm.cpp). Both forms return how
+  // many of the pages were first seen in this working-set epoch and leave
+  // ws_pages_ to the caller.
+
+  /// Page form: touch page \p v. Inline (defined in vmm.cpp, its only
+  /// user) so the scalar touch() compiles down to bit operations.
+  inline std::int64_t touch_page(AddressSpace& as,
+                                 const PageTable::HotRows& rows, VPage v,
+                                 SimTime now, bool write);
+  /// Word form: touch the pages of \p mask in bitmap word \p w, freeing
+  /// stale swap slots in ascending page order. last_ref is the caller's.
+  std::int64_t touch_word(AddressSpace& as, const PageTable::HotRows& rows,
+                          std::size_t w, std::uint64_t mask, bool write);
 
   // Fault machinery.
   void fault_impl(Pid pid, VPage vpage, bool write,
@@ -460,10 +430,9 @@ class Vmm {
   /// Abandon the fault on (pid, vpage) and notify the failure handler.
   void declare_unrecoverable(Pid pid, VPage vpage, PageFailure failure);
 
-  /// Every present-bit set goes through here: the residency cache, the map
-  /// count and the reclaim policy's on_map hook.
+  /// Every present-bit set goes through here: the map count and the reclaim
+  /// policy's on_map hook.
   void note_mapped(AddressSpace& as, VPage vpage) {
-    as.note_mapped(vpage);
     ++stats_.pages_mapped;
     policy_->on_map(as.pid(), vpage);
   }

@@ -112,11 +112,14 @@ std::optional<std::int64_t> CompressedPool::store(SwapSlot slot) {
   return bytes;
 }
 
-void CompressedPool::touch(SwapSlot slot) {
+bool CompressedPool::touch(SwapSlot slot) {
   const Index i = find(slot);
-  if (i == kNone || slab_[i].writing) return;
-  unlink(i);
-  push_hot(i);
+  if (i == kNone) return false;
+  if (!slab_[i].writing) {
+    unlink(i);
+    push_hot(i);
+  }
+  return true;
 }
 
 bool CompressedPool::drop(SwapSlot slot) {

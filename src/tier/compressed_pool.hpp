@@ -82,8 +82,10 @@ class CompressedPool {
     return find(slot) != kNone;
   }
 
-  /// Mark \p slot most-recently-used (pool load hit). No-op if absent.
-  void touch(SwapSlot slot);
+  /// Pool load: true iff the pool holds \p slot, which then becomes
+  /// most-recently-used. An entry under writeback is a hit that keeps its
+  /// LRU place.
+  bool touch(SwapSlot slot);
 
   /// Drop \p slot's entry, releasing its budget (slot freed, or written
   /// back to disk). Safe to call for absent slots; returns true if dropped.

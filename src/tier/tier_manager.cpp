@@ -122,8 +122,7 @@ void TierManager::read(SlotRun run, IoPriority priority,
   std::vector<SlotRun> disk_segs;
   for (std::int64_t i = 0; i < run.count; ++i) {
     const SwapSlot slot = run.start + i;
-    if (pool_.contains(slot)) {
-      pool_.touch(slot);
+    if (pool_.touch(slot)) {
       ++pool_pages;
     } else {
       append_slot(disk_segs, slot);

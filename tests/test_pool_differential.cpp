@@ -89,7 +89,8 @@ void run_sequence(std::uint64_t seed, const Mix& mix) {
       ASSERT_EQ(pool.store(slot), ref.store(slot)) << "store " << slot;
     } else if (op < 52) {
       const SwapSlot slot = pick_slot();
-      pool.touch(slot);
+      const bool held = ref.contains(slot);
+      ASSERT_EQ(pool.touch(slot), held) << "touch " << slot;
       ref.touch(slot);
     } else if (op < 66) {
       const SwapSlot slot = pick_slot();
@@ -199,7 +200,8 @@ TEST(PoolDifferential, IndexDoublesManyTimesAndKeepsEveryEntry) {
     ASSERT_EQ(pool.drop(slots[i]), ref.drop(slots[i]));
   }
   for (std::size_t i = 1; i < slots.size(); i += 4) {
-    pool.touch(slots[i]);
+    const bool held = ref.contains(slots[i]);
+    ASSERT_EQ(pool.touch(slots[i]), held) << "slot " << slots[i];
     ref.touch(slots[i]);
   }
   for (const SwapSlot s : slots) {

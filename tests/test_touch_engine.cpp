@@ -1,9 +1,11 @@
 // Tests for the batched touch engine: golden page_at values pinning the
 // reference-string addressing (all four patterns, both zipf regimes), the
-// prepared TouchPlan agreeing with AccessChunk, bulk-vs-scalar equivalence
-// (direct Vmm::touch_run fuzz and full CPU-executor runs under memory
-// pressure), and residency-cache invalidation across the evict, reclaim,
-// writeback, tier, prefetch and fault-injection paths.
+// prepared TouchPlan agreeing with AccessChunk, and bulk-vs-scalar
+// equivalence: direct Vmm::touch_run fuzzing (including the word walk's
+// partial words, stale swap-slot frees and pages with I/O in flight), full
+// CPU-executor runs under memory pressure, and touch_run after each
+// residency transition (evict, writeback, tier, prefetch, injected disk
+// faults, release).
 
 #include <gtest/gtest.h>
 
@@ -126,12 +128,16 @@ VmmParams small_params() {
 /// lock-step (identical construction order, hence identical RNG streams).
 struct Stack {
   explicit Stack(VmmParams params = small_params())
-      : vmm(sim, swap, params) {}
+      : vmm(sim, swap, params) {
+    swap.set_slot_release_hook(
+        [this](SwapSlot slot) { freed.push_back(slot); });
+  }
 
   Simulator sim;
   Disk disk{sim, DiskParams{.num_blocks = 1 << 16}};
   SwapDevice swap{disk, 0, 1 << 16};
   Vmm vmm;
+  std::vector<SwapSlot> freed;  ///< swap slots in the order they were freed
 
   bool sync_fault(Pid pid, VPage v, bool write = false) {
     bool done = false;
@@ -156,15 +162,6 @@ struct Stack {
   }
 };
 
-/// Ground truth for region_fully_resident: a fresh page-table scan.
-bool scan_fully_resident(const AddressSpace& as, VPage start,
-                         std::int64_t pages) {
-  for (VPage v = start; v < start + pages; ++v) {
-    if (!as.page_table().at(v).present()) return false;
-  }
-  return true;
-}
-
 void expect_equal_spaces(const AddressSpace& a, const AddressSpace& b) {
   ASSERT_EQ(a.num_pages(), b.num_pages());
   EXPECT_EQ(a.resident_pages(), b.resident_pages());
@@ -186,8 +183,97 @@ void expect_equal_spaces(const AddressSpace& a, const AddressSpace& b) {
     ASSERT_EQ(x.ws_seen(), y.ws_seen()) << "page " << v;
     ASSERT_EQ(x.referenced(), y.referenced()) << "page " << v;
     ASSERT_EQ(x.dirty(), y.dirty()) << "page " << v;
+    ASSERT_EQ(x.io_busy(), y.io_busy()) << "page " << v;
     ASSERT_EQ(x.age(), y.age()) << "page " << v;
   }
+  // Rows the per-page views do not expose.
+  const PageTable::Meta& x = a.page_table().ro();
+  const PageTable::Meta& y = b.page_table().ro();
+  EXPECT_EQ(x.has_slot, y.has_slot);
+  EXPECT_EQ(x.ever_touched, y.ever_touched);
+  EXPECT_EQ(x.evicted, y.evicted);
+}
+
+/// The scalar reference for touch_run: one touch() per touch, stopping at
+/// the first non-resident page, as Cpu does with batched_touch off.
+Vmm::TouchRun scalar_run(Vmm& vmm, AddressSpace& as, const TouchPlan& plan,
+                         std::int64_t begin, std::int64_t budget) {
+  Vmm::TouchRun out;
+  out.consumed = budget;
+  for (std::int64_t k = 0; k < budget; ++k) {
+    const VPage v = plan.page_at(begin + k);
+    if (!vmm.touch(as, v, plan.write)) {
+      out.consumed = k;
+      out.fault_page = v;
+      out.faulted = true;
+      break;
+    }
+  }
+  return out;
+}
+
+/// Two identical stacks with one process each, driven in lock-step: every
+/// transition is applied to both through both(), and check_run() sends a
+/// plan through touch_run on A and through the scalar loop on B, then
+/// compares the results, the page tables, the swap allocators and the order
+/// in which swap slots were freed.
+struct Twin {
+  explicit Twin(std::int64_t pages = 256, VmmParams params = small_params())
+      : a(params), b(params), pid_a(a.vmm.create_process(pages)),
+        pid_b(b.vmm.create_process(pages)) {}
+
+  Stack a;
+  Stack b;
+  Pid pid_a;
+  Pid pid_b;
+
+  template <class Fn>
+  void both(Fn&& fn) {
+    fn(a, pid_a);
+    fn(b, pid_b);
+  }
+
+  Vmm::TouchRun check_run(const TouchPlan& plan, std::int64_t begin,
+                          std::int64_t budget) {
+    AddressSpace& as_a = a.vmm.space(pid_a);
+    AddressSpace& as_b = b.vmm.space(pid_b);
+    const Vmm::TouchRun got = a.vmm.touch_run(as_a, plan, begin, budget);
+    const Vmm::TouchRun want = scalar_run(b.vmm, as_b, plan, begin, budget);
+    EXPECT_EQ(got.consumed, want.consumed);
+    EXPECT_EQ(got.faulted, want.faulted);
+    EXPECT_EQ(got.fault_page, want.fault_page);
+    expect_same_state();
+    return got;
+  }
+
+  void expect_same_state() {
+    expect_equal_spaces(a.vmm.space(pid_a), b.vmm.space(pid_b));
+    const SwapDevice::AllocImage x = a.swap.capture_alloc();
+    const SwapDevice::AllocImage y = b.swap.capture_alloc();
+    EXPECT_EQ(x.used, y.used);
+    EXPECT_EQ(x.hint, y.hint);
+    EXPECT_EQ(a.freed, b.freed);
+    EXPECT_EQ(a.sim.now(), b.sim.now());
+  }
+};
+
+/// A sequential plan over [start, start + pages).
+TouchPlan sequential_plan(VPage start, std::int64_t pages, bool write) {
+  TouchPlan plan;
+  plan.pattern = TouchPattern::kSequential;
+  plan.region_start = start;
+  plan.region_pages = pages;
+  plan.touches = 1 << 20;
+  plan.write = write;
+  return plan;
+}
+
+/// True while some page of \p as has a transfer in flight.
+bool any_io_busy(const AddressSpace& as) {
+  for (const std::uint64_t w : as.page_table().ro().io_busy) {
+    if (w != 0) return true;
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -238,22 +324,13 @@ TEST(TouchRunEquivalence, FuzzAgainstScalarLoop) {
     const Vmm::TouchRun run = a.vmm.touch_run(as_a, plan, begin, budget);
 
     // Scalar reference on stack B.
-    std::int64_t consumed = budget;
-    VPage fault_page = -1;
-    bool faulted = false;
-    for (std::int64_t k = 0; k < budget; ++k) {
-      const VPage v = plan.page_at(begin + k);
-      if (!b.vmm.touch(as_b, v, plan.write)) {
-        consumed = k;
-        fault_page = v;
-        faulted = true;
-        break;
-      }
-    }
+    const Vmm::TouchRun want = scalar_run(b.vmm, as_b, plan, begin, budget);
+    const bool faulted = want.faulted;
+    const VPage fault_page = want.fault_page;
 
-    ASSERT_EQ(run.consumed, consumed) << "round " << round;
+    ASSERT_EQ(run.consumed, want.consumed) << "round " << round;
     ASSERT_EQ(run.faulted, faulted) << "round " << round;
-    ASSERT_EQ(run.fault_page, faulted ? fault_page : -1) << "round " << round;
+    ASSERT_EQ(run.fault_page, fault_page) << "round " << round;
     // Occasionally fault the missing page in (both stacks), advance the
     // epoch, or evict — so later rounds see changed residency.
     if (faulted && (rng() & 1) != 0) {
@@ -305,6 +382,133 @@ TEST(TouchRunEquivalence, FastForwardStridedOrbitMatchesScalar) {
     }
     expect_equal_spaces(as_a, as_b);
   }
+}
+
+TEST(TouchRunEquivalence, WordWalkEdgesAgainstScalarLoop) {
+  // The word walk's edges: a 1300-page space (21 bitmap words, the last one
+  // partial), mostly resident, whose regions start and end inside words,
+  // span many words and get budgets of up to four times their size; runs
+  // often start next to the region's end and wrap by a page or two. Between
+  // runs the twins fault the missing page in, evict (the next write-outs
+  // then take slots after the frees), read evicted pages back clean with
+  // their swap slot, which a write run frees, and leave background writes or
+  // eviction writes in flight across a run, so runs meet io_busy pages.
+  VmmParams params = small_params();
+  params.total_frames = 2048;
+  const std::int64_t kPages = 1300;
+  Twin t(kPages, params);
+  std::mt19937_64 rng(0x5EED);
+  const auto below = [&](std::int64_t n) {
+    return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(n));
+  };
+
+  // Every page but a few holes, mostly written in.
+  for (VPage v = 0; v < kPages; ++v) {
+    if (below(100) < 98) {
+      const bool write = below(4) != 0;
+      t.both([&](Stack& s, Pid pid) {
+        ASSERT_TRUE(s.sync_fault(pid, v, write));
+      });
+    }
+  }
+
+  for (int round = 0; round < 600; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    TouchPlan plan;
+    plan.region_pages = 1 + below(kPages);
+    plan.region_start = below(kPages - plan.region_pages + 1);
+    plan.touches = 1 << 30;
+    plan.write = below(3) != 0;
+    // Sequential, or strided with a stride that is 1 mod region_pages; both
+    // take the word walk.
+    const std::int64_t kind = below(4);
+    plan.pattern =
+        kind == 0 ? TouchPattern::kSequential : TouchPattern::kStrided;
+    plan.stride = kind == 0 ? 1 : plan.region_pages * (kind - 1) + 1;
+    const std::int64_t rp = plan.region_pages;
+    const std::int64_t idx =
+        below(2) == 0 ? below(rp) : std::max<std::int64_t>(0, rp - below(3));
+    const std::int64_t begin = idx + rp * below(1000);
+    const std::int64_t budget =
+        below(2) == 0 ? 1 + below(4 * rp)
+                      : std::max<std::int64_t>(1, rp - idx - 1 + below(4));
+
+    const std::int64_t action = below(8);
+    if (action == 0) {
+      // Background writes in flight: their pages are clean, io_busy and
+      // hold a slot the write run must not free.
+      t.both([](Stack& s, Pid pid) {
+        s.vmm.writeback_dirty(pid, 400, IoPriority::kBackground, {});
+      });
+    } else if (action == 1) {
+      // Eviction writes in flight: stop once the first write is issued.
+      t.both([](Stack& s, Pid pid) {
+        s.vmm.request_free_frames(s.vmm.free_frames() + 96, [] {});
+        s.sim.run_until([&] { return any_io_busy(s.vmm.space(pid)); });
+      });
+    }
+    const Vmm::TouchRun run = t.check_run(plan, begin, budget);
+    if (::testing::Test::HasFatalFailure()) return;
+    t.both([](Stack& s, Pid) { s.sim.run(); });
+    t.expect_same_state();
+
+    if (run.faulted && below(4) != 0) {
+      const bool write = below(2) == 0;
+      t.both([&](Stack& s, Pid pid) {
+        ASSERT_TRUE(s.sync_fault(pid, run.fault_page, write));
+      });
+    }
+    if (round % 20 == 10) {
+      // Evict, compare where the slots went, then read a stretch of the
+      // evicted pages back in clean.
+      t.both([](Stack& s, Pid) { s.force_free(s.vmm.free_frames() + 150); });
+      t.expect_same_state();
+      const VPage from = below(kPages - 300);
+      const AddressSpace& as = t.a.vmm.space(t.pid_a);
+      for (VPage v = from; v < from + 300; ++v) {
+        const auto pte = as.page_table().at(v);
+        if (pte.present() || pte.slot() == kNoSwapSlot) continue;
+        t.both([&](Stack& s, Pid pid) {
+          ASSERT_TRUE(s.sync_fault(pid, v, false));
+        });
+      }
+      t.expect_same_state();
+    }
+    if (round % 60 == 30) {
+      t.both([](Stack& s, Pid pid) { s.vmm.begin_ws_epoch(pid); });
+    }
+  }
+  t.expect_same_state();
+}
+
+TEST(TouchRunEquivalence, FaultOnTheFirstPageLeavesASnapshotShared) {
+  // A run that faults before touching anything must not detach the page
+  // table from a snapshot sharing its metadata; a run that touches does.
+  Stack s;
+  const Pid pid = s.vmm.create_process(256);
+  s.populate(pid, 64, 128);
+  const MemSnapshot snap = s.vmm.capture_snapshot();
+  AddressSpace& as = s.vmm.space(pid);
+  const PageTable::Meta* shared = &as.page_table().ro();
+  ASSERT_EQ(snap.spaces.at(0).meta.get(), shared);
+
+  TouchPlan plan = sequential_plan(0, 128, true);
+  Vmm::TouchRun run = s.vmm.touch_run(as, plan, 0, 128);
+  EXPECT_TRUE(run.faulted);
+  EXPECT_EQ(run.consumed, 0);
+  plan.pattern = TouchPattern::kStrided;
+  plan.stride = 3;
+  run = s.vmm.touch_run(as, plan, 0, 128);
+  EXPECT_EQ(run.consumed, 0);
+  plan.pattern = TouchPattern::kRandom;
+  plan.region_pages = 1;
+  run = s.vmm.touch_run(as, plan, 0, 128);
+  EXPECT_EQ(run.consumed, 0);
+  EXPECT_EQ(&as.page_table().ro(), shared);
+
+  run = s.vmm.touch_run(as, sequential_plan(64, 64, false), 0, 64);
+  EXPECT_EQ(run.consumed, 64);
+  EXPECT_NE(&as.page_table().ro(), shared);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,148 +580,138 @@ TEST(CpuBatchedVsScalar, RandomUnderMemoryPressure) {
 }
 
 // ---------------------------------------------------------------------------
-// Residency-cache invalidation
+// touch_run after residency transitions
+//
+// Each case drives one transition on both twins and then checks a touch_run
+// over the region against the scalar loop.
 
 struct ResidencyFixture : ::testing::Test {
-  Stack s;
-  Pid pid = s.vmm.create_process(256);
+  Twin t;
 
-  bool probe(VPage start, std::int64_t pages) {
-    auto& as = s.vmm.space(pid);
-    const bool got = s.vmm.region_fully_resident(as, start, pages);
-    // Whatever the cache answers must agree with a fresh page-table scan.
-    EXPECT_EQ(got, scan_fully_resident(as, start, pages));
-    return got;
+  void populate(VPage begin, VPage end) {
+    t.both([&](Stack& s, Pid pid) { s.populate(pid, begin, end); });
+  }
+  void force_free(std::int64_t target) {
+    t.both([&](Stack& s, Pid) { s.force_free(target); });
+  }
+  /// A sequential run over [start, start + pages) on both twins.
+  Vmm::TouchRun run(VPage start, std::int64_t pages, bool write = false) {
+    return t.check_run(sequential_plan(start, pages, write), 0, pages);
   }
 };
 
 TEST_F(ResidencyFixture, EvictionInvalidatesAndRefaultRestores) {
-  s.populate(pid, 0, 100);
-  EXPECT_TRUE(probe(0, 100));
-  s.force_free(64);  // evicts part of the region
-  EXPECT_FALSE(probe(0, 100));
-  s.populate(pid, 0, 100);  // fault everything back in
-  EXPECT_TRUE(probe(0, 100));
+  populate(0, 100);
+  EXPECT_FALSE(run(0, 100).faulted);
+  force_free(64);  // evicts part of the region
+  EXPECT_TRUE(run(0, 100).faulted);
+  populate(0, 100);  // fault everything back in
+  EXPECT_EQ(run(0, 100).consumed, 100);
 }
 
 TEST_F(ResidencyFixture, WritebackKeepsPagesResident) {
-  s.populate(pid, 0, 100);
-  EXPECT_TRUE(probe(0, 100));
+  populate(0, 100);
+  EXPECT_FALSE(run(0, 100).faulted);
   std::int64_t started = -1;
-  s.vmm.writeback_dirty(pid, 50, IoPriority::kBackground,
-                        [&](std::int64_t n) { started = n; });
-  s.sim.run();
+  t.both([&](Stack& s, Pid pid) {
+    s.vmm.writeback_dirty(pid, 50, IoPriority::kBackground,
+                          [&](std::int64_t n) { started = n; });
+    s.sim.run();
+  });
   EXPECT_GT(started, 0);
-  // Background writing does not unmap: the region must still test resident.
-  EXPECT_TRUE(probe(0, 100));
-  // ... but a subsequent eviction (now cheap: clean swap copies) must not.
-  s.force_free(64);
-  EXPECT_FALSE(probe(0, 100));
+  // Background writing does not unmap: a write run touches the whole region
+  // and frees the swap copies it made stale.
+  const std::size_t freed_before = t.a.freed.size();
+  EXPECT_FALSE(run(0, 100, true).faulted);
+  EXPECT_EQ(t.a.freed.size(), freed_before + static_cast<std::size_t>(started));
+  // ... and a later eviction does unmap.
+  force_free(64);
+  EXPECT_TRUE(run(0, 100).faulted);
 }
 
 TEST_F(ResidencyFixture, PrefetchRemapsAndRevalidates) {
-  s.populate(pid, 0, 100);
-  s.force_free(64);
-  ASSERT_FALSE(probe(0, 100));
+  populate(0, 100);
+  force_free(64);
+  ASSERT_TRUE(run(0, 100).faulted);
   bool done = false;
-  s.vmm.prefetch(pid, {{0, 100}}, [&] { done = true; });
-  s.sim.run();
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(probe(0, 100));
-}
-
-TEST_F(ResidencyFixture, WatchTableEvictionStaysCorrect) {
-  // More distinct regions than watch slots: early watches get recycled, and
-  // a later probe of the first region must re-register and still be exact.
-  s.populate(pid, 0, 100);
-  ASSERT_TRUE(probe(0, 100));
-  for (VPage start = 0; start < 12; ++start) {
-    EXPECT_TRUE(probe(start, 20));  // 12 regions > 8 watch slots
-  }
-  s.force_free(64);  // invalidates whatever is still watched — and the rest
-  EXPECT_FALSE(probe(0, 100));
-  s.populate(pid, 0, 100);
-  EXPECT_TRUE(probe(0, 100));
-  for (VPage start = 0; start < 12; ++start) {
-    EXPECT_TRUE(probe(start, 20));
-  }
+  t.both([&](Stack& s, Pid pid) {
+    done = false;
+    s.vmm.prefetch(pid, {{0, 100}}, [&] { done = true; });
+    s.sim.run();
+    ASSERT_TRUE(done);
+  });
+  EXPECT_FALSE(run(0, 100).faulted);
 }
 
 TEST_F(ResidencyFixture, EpochAndWsAccountingUnaffectedByProbes) {
+  Stack& s = t.a;
+  const Pid pid = t.pid_a;
   s.populate(pid, 0, 50);
   s.vmm.begin_ws_epoch(pid);
   EXPECT_EQ(s.vmm.space(pid).ws_pages(), 0);
-  (void)probe(0, 50);
-  // Probing must not touch pages: the working set stays empty.
-  EXPECT_EQ(s.vmm.space(pid).ws_pages(), 0);
-  TouchPlan plan;
-  plan.pattern = TouchPattern::kSequential;
-  plan.region_start = 0;
-  plan.region_pages = 50;
-  plan.touches = 1 << 20;
-  const auto run = s.vmm.touch_run(s.vmm.space(pid), plan, 0, 50);
+  const auto run =
+      s.vmm.touch_run(s.vmm.space(pid), sequential_plan(0, 50, false), 0, 50);
   EXPECT_EQ(run.consumed, 50);
   EXPECT_EQ(s.vmm.space(pid).ws_pages(), 50);
 }
 
 TEST(ResidencyTier, TierEvictionInvalidates) {
-  // With the compressed tier interposed, evictions route through the pool;
-  // the unmap bookkeeping must invalidate the cache all the same.
-  Stack s;
+  // With the compressed tier interposed, evictions route through the pool.
+  Twin t;
   TierParams tp;
   tp.pool_mb = 1.0;
   tp.ratio_model = TierRatioModel::kText;
-  TierManager tier(s.sim, s.swap, tp);
-  s.vmm.set_tier(&tier);
-  const Pid pid = s.vmm.create_process(256);
-  s.populate(pid, 0, 100);
-  auto& as = s.vmm.space(pid);
-  EXPECT_TRUE(s.vmm.region_fully_resident(as, 0, 100));
-  s.force_free(64);
-  EXPECT_FALSE(s.vmm.region_fully_resident(as, 0, 100));
-  EXPECT_EQ(s.vmm.region_fully_resident(as, 0, 100),
-            scan_fully_resident(as, 0, 100));
-  s.populate(pid, 0, 100);
-  EXPECT_TRUE(s.vmm.region_fully_resident(as, 0, 100));
+  TierManager tier_a(t.a.sim, t.a.swap, tp);
+  TierManager tier_b(t.b.sim, t.b.swap, tp);
+  t.a.vmm.set_tier(&tier_a);
+  t.b.vmm.set_tier(&tier_b);
+  const TouchPlan plan = sequential_plan(0, 100, false);
+  t.both([](Stack& s, Pid pid) { s.populate(pid, 0, 100); });
+  EXPECT_FALSE(t.check_run(plan, 0, 100).faulted);
+  t.both([](Stack& s, Pid) { s.force_free(64); });
+  EXPECT_TRUE(t.check_run(plan, 0, 100).faulted);
+  t.both([](Stack& s, Pid pid) { s.populate(pid, 0, 100); });
+  EXPECT_FALSE(t.check_run(plan, 0, 100).faulted);
+  EXPECT_EQ(tier_a.stats().pool_hits, tier_b.stats().pool_hits);
 }
 
 TEST(ResidencyFault, InjectedDiskFaultsKeepCacheExact) {
   // Transient disk failures make eviction writes and swap reads fail and
-  // retry; through all of it the cache must keep agreeing with the page
-  // table.
-  Stack s;
+  // retry; after each round of them a run must still match the scalar loop.
+  Twin t;
   FaultPlan plan;
   plan.add(FaultSpec::parse("disk_transient node=0 start_s=0 end_s=3600 p=0.1"));
-  FaultInjector injector(s.sim, plan);
-  s.disk.set_fault_injector(&injector, 0);
+  FaultInjector injector_a(t.a.sim, plan);
+  FaultInjector injector_b(t.b.sim, plan);
+  t.a.disk.set_fault_injector(&injector_a, 0);
+  t.b.disk.set_fault_injector(&injector_b, 0);
 
-  const Pid pid = s.vmm.create_process(256);
-  s.populate(pid, 0, 100);
-  auto& as = s.vmm.space(pid);
-  EXPECT_TRUE(s.vmm.region_fully_resident(as, 0, 100));
+  const TouchPlan region = sequential_plan(0, 100, true);
+  t.both([](Stack& s, Pid pid) { s.populate(pid, 0, 100); });
+  EXPECT_FALSE(t.check_run(region, 0, 100).faulted);
   for (int round = 0; round < 5; ++round) {
-    s.force_free(64);
-    EXPECT_EQ(s.vmm.region_fully_resident(as, 0, 100),
-              scan_fully_resident(as, 0, 100));
-    s.populate(pid, 0, 100);
-    EXPECT_EQ(s.vmm.region_fully_resident(as, 0, 100),
-              scan_fully_resident(as, 0, 100));
-    EXPECT_TRUE(s.vmm.region_fully_resident(as, 0, 100));
+    t.both([](Stack& s, Pid) { s.force_free(64); });
+    (void)t.check_run(region, 0, 100);
+    t.both([](Stack& s, Pid pid) { s.populate(pid, 0, 100); });
+    EXPECT_FALSE(t.check_run(region, 0, 100).faulted);
   }
 }
 
 TEST(ResidencyRelease, ReleaseDropsWatchesSafely) {
-  // Releasing a process with active watches must not leave the counters
-  // pointing at torn-down state; a second process reusing the frames works.
-  Stack s;
-  const Pid first = s.vmm.create_process(128);
-  s.populate(first, 0, 100);
-  EXPECT_TRUE(s.vmm.region_fully_resident(s.vmm.space(first), 0, 100));
-  s.vmm.release_process(first);
-  s.sim.run();
-  const Pid second = s.vmm.create_process(128);
-  s.populate(second, 0, 100);
-  EXPECT_TRUE(s.vmm.region_fully_resident(s.vmm.space(second), 0, 100));
+  // A process released with resident pages gives its frames to a second
+  // process, whose runs must match the scalar loop.
+  Twin t(128);
+  t.both([](Stack& s, Pid pid) {
+    s.populate(pid, 0, 100);
+    s.vmm.release_process(pid);
+    s.sim.run();
+  });
+  t.pid_a = t.a.vmm.create_process(128);
+  t.pid_b = t.b.vmm.create_process(128);
+  const TouchPlan plan = sequential_plan(0, 100, false);
+  EXPECT_TRUE(t.check_run(plan, 0, 100).faulted);
+  t.both([](Stack& s, Pid pid) { s.populate(pid, 0, 100); });
+  EXPECT_FALSE(t.check_run(plan, 0, 100).faulted);
 }
 
 }  // namespace
