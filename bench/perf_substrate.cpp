@@ -34,13 +34,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "disk/disk.hpp"
 #include "disk/swap_device.hpp"
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
-#include "harness/sweep.hpp"
 #include "mem/page_table.hpp"
 #include "mem/vmm.hpp"
 #include "sim/event_queue.hpp"
@@ -168,6 +169,23 @@ double median_ms(int reps, Fn&& fn) {
   return times[times.size() / 2];
 }
 
+/// Median wall times of \p reps runs each of \p fn_a and \p fn_b, in
+/// milliseconds. The two alternate run by run, so transient host load
+/// drifts into both medians alike instead of skewing their ratio.
+template <typename FnA, typename FnB>
+std::pair<double, double> interleaved_median_ms(int reps, FnA&& fn_a,
+                                                FnB&& fn_b) {
+  std::vector<double> a;
+  std::vector<double> b;
+  for (int r = 0; r < reps; ++r) {
+    a.push_back(median_ms(1, fn_a));
+    b.push_back(median_ms(1, fn_b));
+  }
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return {a[a.size() / 2], b[b.size() / 2]};
+}
+
 struct Result {
   std::string name;
   std::int64_t items = 0;        ///< events processed per run
@@ -266,10 +284,8 @@ Result compare_queues(const char* name, std::int64_t items, int reps,
   Result res;
   res.name = name;
   res.items = items;
-  // Interleave would be fairer under thermal drift, but medians over
-  // separate batches are stable enough and keep the code simple.
-  res.new_ms = median_ms(reps, run_new);
-  res.legacy_ms = median_ms(reps, run_legacy);
+  std::tie(res.new_ms, res.legacy_ms) =
+      interleaved_median_ms(reps, run_new, run_legacy);
   return res;
 }
 
@@ -358,153 +374,6 @@ Result page_scan_sweep(bool smoke, int reps) {
     }
     g_dispatched += sum;
   });
-  return res;
-}
-
-// ---------------------------------------------------------------------------
-// Sweep forking: k sweep points sharing a fault-storm warmup, forked from
-// one copy-on-write MemSnapshot against re-running warmup + point from
-// scratch per point. Aborts when any point's forked state diverges from its
-// from-scratch twin: the speedup is only meaningful while forking is
-// bit-identical.
-
-/// Self-scheduling sequential sweep: `total` touches over [0, npages)
-/// starting at `start`, every 8th a write; misses take the full fault path.
-/// Returns immediately — the sweep continues from the event queue until the
-/// touches are spent (the caller drains the simulator).
-void touch_sweep(Simulator& /*sim*/, Vmm& vmm, Pid pid, std::int64_t npages,
-                 std::int64_t start, std::int64_t total) {
-  auto& as = vmm.space(pid);
-  auto touched = std::make_shared<std::int64_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
-  // Weak self-reference: the pending fault callback carries the strong one,
-  // so the chain frees itself when the last touch lands (no shared_ptr cycle).
-  const std::weak_ptr<std::function<void()>> weak = step;
-  *step = [touched, weak, start, total, npages, pid, &vmm, &as] {
-    while (*touched < total) {
-      const VPage v = (start + *touched) % npages;
-      const bool write = (*touched & 7) == 0;
-      if (vmm.touch(as, v, write)) {
-        ++*touched;
-        continue;
-      }
-      vmm.fault(pid, v, write, [touched, strong = weak.lock()] {
-        ++*touched;
-        (*strong)();
-      });
-      return;
-    }
-  };
-  (*step)();
-}
-
-/// Everything a sweep point's outcome consists of; forked and from-scratch
-/// runs of the same point must agree on every field.
-struct PointSignature {
-  AddressSpace::Stats space;
-  Vmm::Stats vmm;
-  std::int64_t resident = 0;
-  std::int64_t dirty = 0;
-  std::int64_t free_frames = 0;
-  std::int64_t used_slots = 0;
-  SimTime now = 0;
-  BlockNum disk_head = 0;
-  std::uint64_t blocks_read = 0;
-  std::uint64_t blocks_written = 0;
-};
-
-PointSignature point_signature(MemLab& lab) {
-  const Pid pid = lab.vmm().pids().front();
-  const auto& as = lab.vmm().space(pid);
-  PointSignature sig;
-  sig.space = as.stats();
-  sig.vmm = lab.vmm().stats();
-  sig.resident = as.resident_pages();
-  sig.dirty = as.dirty_pages();
-  sig.free_frames = lab.vmm().free_frames();
-  sig.used_slots = lab.swap().used_slots();
-  sig.now = lab.sim().now();
-  sig.disk_head = lab.disk().head();
-  sig.blocks_read = lab.disk().stats().blocks_read;
-  sig.blocks_written = lab.disk().stats().blocks_written;
-  return sig;
-}
-
-bool signatures_equal(const PointSignature& a, const PointSignature& b) {
-  return a.space.minor_faults == b.space.minor_faults &&
-         a.space.major_faults == b.space.major_faults &&
-         a.space.pages_swapped_in == b.space.pages_swapped_in &&
-         a.space.pages_swapped_out == b.space.pages_swapped_out &&
-         a.space.pages_clean_dropped == b.space.pages_clean_dropped &&
-         a.space.false_evictions == b.space.false_evictions &&
-         a.vmm.reclaim_steps == b.vmm.reclaim_steps &&
-         a.resident == b.resident && a.dirty == b.dirty &&
-         a.free_frames == b.free_frames && a.used_slots == b.used_slots &&
-         a.now == b.now && a.disk_head == b.disk_head &&
-         a.blocks_read == b.blocks_read && a.blocks_written == b.blocks_written;
-}
-
-Result sweep_fork(bool smoke, int reps) {
-  Result res;
-  res.name = "sweep_fork";
-  MemLabParams params;
-  params.frames = smoke ? 1024 : 4096;
-  params.disk_blocks = 1 << 16;
-  params.swap_slots = 1 << 16;
-  const std::int64_t npages = params.frames * 2;
-  const std::int64_t warm_touches = npages * (smoke ? 3 : 4);
-  const std::int64_t point_touches = npages / 2;
-
-  auto warmup = [npages, warm_touches](MemLab& lab) {
-    const Pid pid = lab.vmm().create_process(npages);
-    touch_sweep(lab.sim(), lab.vmm(), pid, npages, 0, warm_touches);
-  };
-  std::vector<SweepPoint> points;
-  for (std::int64_t batch : {8, 16, 32, 64}) {
-    SweepPoint p;
-    p.label = "reclaim_batch=" + std::to_string(batch);
-    p.apply = [batch](MemLab& lab) { lab.vmm().set_reclaim_batch(batch); };
-    p.body = [npages, point_touches](MemLab& lab) {
-      const Pid pid = lab.vmm().pids().front();
-      touch_sweep(lab.sim(), lab.vmm(), pid, npages, 0, point_touches);
-    };
-    points.push_back(std::move(p));
-  }
-  res.items = static_cast<std::int64_t>(points.size()) *
-              (warm_touches + point_touches);
-
-  // Forked: warmup once, fork each point from the snapshot. Single worker,
-  // so forked and from-scratch timings compare the same wall-clock budget.
-  std::vector<std::unique_ptr<MemLab>> forked;
-  res.new_ms = median_ms(reps, [&] {
-    forked = run_forked_sweep(params, warmup, points, /*threads=*/1);
-  });
-
-  // From scratch: every point re-runs the warmup prefix itself.
-  std::vector<std::unique_ptr<MemLab>> scratch;
-  res.legacy_ms = median_ms(reps, [&] {
-    scratch.clear();
-    for (const SweepPoint& p : points) {
-      auto lab = std::make_unique<MemLab>(params);
-      lab->run([&] { warmup(*lab); });
-      if (p.apply) p.apply(*lab);
-      lab->run([&] { p.body(*lab); });
-      scratch.push_back(std::move(lab));
-    }
-  });
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!signatures_equal(point_signature(*forked[i]),
-                          point_signature(*scratch[i]))) {
-      std::fprintf(stderr,
-                   "FATAL: sweep_fork: point %s diverged from its "
-                   "from-scratch run\n",
-                   points[i].label.c_str());
-      std::exit(1);
-    }
-  }
-  res.extra = static_cast<double>(points.size());
-  res.extra_name = "points";
   return res;
 }
 
@@ -622,22 +491,13 @@ Result endtoend_fig(const char* name, int nodes, double scale, int reps) {
   config.quantum = 4 * kSecond;
   config.iterations_scale = scale;
   config.seed = 7;
+  ExperimentConfig scalar_config = config;
+  scalar_config.scalar_touch = true;
   RunOutcome batched;
   RunOutcome scalar;
-  // Interleave the two engines rep by rep so transient machine load drifts
-  // into both measurements equally instead of skewing the ratio.
-  std::vector<double> batched_ms;
-  std::vector<double> scalar_ms;
-  for (int r = 0; r < reps; ++r) {
-    config.scalar_touch = false;
-    batched_ms.push_back(median_ms(1, [&] { batched = run_gang(config); }));
-    config.scalar_touch = true;
-    scalar_ms.push_back(median_ms(1, [&] { scalar = run_gang(config); }));
-  }
-  std::sort(batched_ms.begin(), batched_ms.end());
-  std::sort(scalar_ms.begin(), scalar_ms.end());
-  res.new_ms = batched_ms[batched_ms.size() / 2];
-  res.legacy_ms = scalar_ms[scalar_ms.size() / 2];
+  std::tie(res.new_ms, res.legacy_ms) = interleaved_median_ms(
+      reps, [&] { batched = run_gang(config); },
+      [&] { scalar = run_gang(scalar_config); });
   if (batched.makespan != scalar.makespan ||
       batched.pages_swapped_in != scalar.pages_swapped_in ||
       batched.pages_swapped_out != scalar.pages_swapped_out ||
@@ -664,18 +524,17 @@ std::string json_number(double v) {
 }
 
 void write_json(const std::string& path, const std::vector<Result>& results,
-                bool smoke, int reps, double schedule_pop_speedup,
-                double endtoend_speedup, double sweep_fork_speedup) {
+                bool smoke, int reps, int queue_reps,
+                double schedule_pop_speedup, double endtoend_speedup) {
   std::ofstream os(path);
   os << "{\n"
      << "  \"bench\": \"perf_substrate\",\n"
      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
      << "  \"repetitions\": " << reps << ",\n"
+     << "  \"queue_repetitions\": " << queue_reps << ",\n"
      << "  \"schedule_pop_speedup_vs_legacy\": "
      << json_number(schedule_pop_speedup) << ",\n"
      << "  \"endtoend_speedup\": " << json_number(endtoend_speedup) << ",\n"
-     << "  \"sweep_fork_speedup\": " << json_number(sweep_fork_speedup)
-     << ",\n"
      << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
@@ -702,7 +561,6 @@ int main(int argc, char** argv) {
   bool scalar = false;
   double min_speedup = 0.0;
   double min_endtoend_speedup = 0.0;
-  double min_sweep_fork_speedup = 0.0;
   std::string out = "BENCH_perf.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -716,16 +574,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--min-endtoend-speedup") == 0 &&
                i + 1 < argc) {
       min_endtoend_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-sweep-fork-speedup") == 0 &&
-               i + 1 < argc) {
-      min_sweep_fork_speedup = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--scalar] [--min-speedup X] "
-                   "[--min-endtoend-speedup X] [--min-sweep-fork-speedup X] "
-                   "[--out PATH]\n",
+                   "[--min-endtoend-speedup X] [--out PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -733,32 +587,37 @@ int main(int argc, char** argv) {
 
   const std::int64_t n = smoke ? (1 << 14) : (1 << 17);
   const int reps = smoke ? 3 : 7;
+  // The schedule/pop rows feed the --min-speedup gate, and one run takes a
+  // few ms: enough repetitions keep one host hiccup from moving the ratio.
+  const int queue_reps = std::max(reps, 31);
   std::vector<Result> results;
 
-  std::printf("perf_substrate (%s): %lld events/run, median of %d\n\n",
-              smoke ? "smoke" : "full", static_cast<long long>(n), reps);
+  std::printf("perf_substrate (%s): %lld events/run, median of %d "
+              "(queue rows: %d)\n\n",
+              smoke ? "smoke" : "full", static_cast<long long>(n), reps,
+              queue_reps);
 
   // Real runs keep the pending set small (one event per process plus
   // in-flight I/O), so the gate workload churns a bounded window.
   const std::int64_t depth = smoke ? (1 << 10) : (1 << 12);
   results.push_back(compare_queues(
-      "schedule_pop_churn", n, reps,
+      "schedule_pop_churn", n, queue_reps,
       std::function<void()>(
           [n, depth] { steady_state_churn<EventQueue>(n, depth); }),
       std::function<void()>(
           [n, depth] { steady_state_churn<legacy::EventQueue>(n, depth); })));
   results.push_back(compare_queues(
-      "schedule_pop_bulk", n, reps,
+      "schedule_pop_bulk", n, queue_reps,
       std::function<void()>([n] { schedule_pop_bulk<EventQueue>(n); }),
       std::function<void()>(
           [n] { schedule_pop_bulk<legacy::EventQueue>(n); })));
   results.push_back(compare_queues(
-      "schedule_cancel_pop", n, reps,
+      "schedule_cancel_pop", n, queue_reps,
       std::function<void()>([n] { schedule_cancel_pop<EventQueue>(n); }),
       std::function<void()>(
           [n] { schedule_cancel_pop<legacy::EventQueue>(n); })));
   results.push_back(compare_queues(
-      "same_time_bursts", n, reps,
+      "same_time_bursts", n, queue_reps,
       std::function<void()>([n] { same_time_bursts<EventQueue>(n); }),
       std::function<void()>(
           [n] { same_time_bursts<legacy::EventQueue>(n); })));
@@ -767,7 +626,6 @@ int main(int argc, char** argv) {
   results.push_back(
       fault_storm(smoke ? 2048 : 8192, smoke ? 2 : 4, smoke ? 2 : 3));
   results.push_back(fig7_small(smoke ? 0.25 : 0.5, smoke ? 1 : 3, scalar));
-  results.push_back(sweep_fork(smoke, smoke ? 3 : 5));
 
   // End-to-end macro section: batched touch engine vs the scalar loop on
   // fig7-style (serial) and fig8-style (2-node parallel) runs.
@@ -796,18 +654,15 @@ int main(int argc, char** argv) {
   const double gate = results[0].speedup();  // schedule_pop_churn
   // End-to-end gate: the worse of the fig7/fig8 macro speedups.
   double endtoend = -1.0;
-  double fork_speedup = -1.0;
   for (const Result& r : results) {
-    if (r.name == "sweep_fork") fork_speedup = r.speedup();
     if (r.name.rfind("endtoend_", 0) != 0) continue;
     const double s = r.speedup();
     if (endtoend < 0.0 || s < endtoend) endtoend = s;
   }
-  write_json(out, results, smoke, reps, gate, endtoend, fork_speedup);
+  write_json(out, results, smoke, reps, queue_reps, gate, endtoend);
   std::printf("\nwrote %s (schedule/pop speedup vs legacy queue: %.2fx, "
-              "end-to-end batched-touch speedup: %.2fx, "
-              "sweep-fork speedup: %.2fx)\n",
-              out.c_str(), gate, endtoend, fork_speedup);
+              "end-to-end batched-touch speedup: %.2fx)\n",
+              out.c_str(), gate, endtoend);
   if (min_speedup > 0.0 && gate < min_speedup) {
     std::fprintf(stderr,
                  "FAIL: schedule/pop speedup %.2fx below required %.2fx\n",
@@ -818,12 +673,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: end-to-end speedup %.2fx below required %.2fx\n",
                  endtoend, min_endtoend_speedup);
-    return 1;
-  }
-  if (min_sweep_fork_speedup > 0.0 && fork_speedup < min_sweep_fork_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: sweep-fork speedup %.2fx below required %.2fx\n",
-                 fork_speedup, min_sweep_fork_speedup);
     return 1;
   }
   return 0;

@@ -33,17 +33,6 @@ void SelectiveReclaimPolicy::set_victim_process(Pid pid) {
   cache_resident_ = -1;
 }
 
-std::unique_ptr<ReclaimPolicy> SelectiveReclaimPolicy::clone() const {
-  auto fallback = fallback_->clone();
-  if (!fallback) return nullptr;  // fallback not snapshottable
-  auto copy = std::make_unique<SelectiveReclaimPolicy>(std::move(fallback));
-  copy->victim_ = victim_;
-  copy->cache_ = cache_;
-  copy->cursor_ = cursor_;
-  copy->cache_resident_ = cache_resident_;
-  return copy;
-}
-
 std::int64_t SelectiveReclaimPolicy::rebuild_cache(Vmm& vmm) {
   cache_.clear();
   cursor_ = 0;

@@ -61,8 +61,6 @@ class SelectiveReclaimPolicy final : public ReclaimPolicy {
   /// victims from the outgoing process.
   void on_map(Pid pid, VPage vpage) override { fallback_->on_map(pid, vpage); }
 
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override;
-
  private:
   /// Rebuild the oldest-first page list; returns the pages examined.
   std::int64_t rebuild_cache(Vmm& vmm);

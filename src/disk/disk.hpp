@@ -78,11 +78,6 @@ class Disk {
 
   [[nodiscard]] const DiskModel& model() const { return model_; }
   [[nodiscard]] BlockNum head() const { return head_; }
-
-  /// Reposition the head (snapshot restore). Only meaningful while the
-  /// device is idle: seek distances of queued work are computed at service
-  /// start from wherever the head is then.
-  void set_head(BlockNum head) { head_ = head; }
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::size_t queue_depth() const {
     return foreground_.size() + background_.size();
@@ -99,10 +94,6 @@ class Disk {
     std::uint64_t io_errors = 0;         ///< requests completed with an error
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  /// Overwrite the cumulative statistics (snapshot restore: a forked stack
-  /// continues the captured run, so it inherits the prefix's counters).
-  void set_stats(const Stats& stats) { stats_ = stats; }
 
   /// Fraction of [0, now] the device spent busy.
   [[nodiscard]] double utilization() const;

@@ -79,13 +79,6 @@ bool SwapDevice::is_allocated(SwapSlot slot) const {
   return used_[static_cast<std::size_t>(slot)];
 }
 
-void SwapDevice::restore_alloc(const AllocImage& image) {
-  assert(std::ssize(image.used) == num_slots());
-  used_ = image.used;
-  free_count_ = image.free_count;
-  hint_ = image.hint;
-}
-
 void SwapDevice::submit(SlotRun run, bool is_write, IoPriority priority,
                         IoCallback on_complete) {
   assert(run.count > 0);

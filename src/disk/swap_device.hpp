@@ -68,10 +68,9 @@ class SwapDevice {
   /// True if \p slot is currently allocated.
   [[nodiscard]] bool is_allocated(SwapSlot slot) const;
 
-  /// Allocator image for memory snapshots: the slot bitmap plus the next-fit
-  /// cursor, so a restored run allocates the exact same runs as the
-  /// original. Excludes the device/disk wiring, which the restored stack
-  /// rebuilds itself.
+  /// Read-only copy of the allocator's state: the slot bitmap, the free
+  /// count and the next-fit cursor. Two devices that agree on it allocate
+  /// the same runs from here on.
   struct AllocImage {
     std::vector<bool> used;
     std::int64_t free_count = 0;
@@ -80,8 +79,6 @@ class SwapDevice {
   [[nodiscard]] AllocImage capture_alloc() const {
     return AllocImage{used_, free_count_, hint_};
   }
-  /// Restore a captured allocator image (same num_slots required).
-  void restore_alloc(const AllocImage& image);
 
   /// Submit a read/write of a slot run; \p on_complete fires when the
   /// transfer finishes, receiving its IoResult (errors come from the fault

@@ -42,8 +42,8 @@ struct EvaluatedRun {
 
 /// Run \p body(i) for every i in [0, n) on up to \p threads workers (0 =
 /// hardware concurrency), self-scheduling over indices. The shared-nothing
-/// worker pool behind parallel_map and the sweep-fork harness; \p body must
-/// be thread-safe for distinct indices.
+/// worker pool behind parallel_map; \p body must be thread-safe for distinct
+/// indices.
 void parallel_indices(std::size_t n, unsigned threads,
                       const std::function<void(std::size_t)>& body);
 

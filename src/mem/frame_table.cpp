@@ -6,8 +6,6 @@
 namespace apsim {
 
 FrameTable::FrameTable(std::int64_t num_frames) : total_(num_frames) {
-  // 0 frames is a valid (empty) table: MemSnapshot default-constructs one
-  // as a placeholder before capture fills it in.
   assert(num_frames >= 0);
 }
 
@@ -31,15 +29,16 @@ const FrameTable::Frame& FrameTable::frame(FrameNum f) const {
 }
 
 std::int64_t FrameTable::wire_down(std::int64_t n) {
+  assert(n >= 0);
   const std::int64_t taken = std::min<std::int64_t>(n, free_frames());
-  for (std::int64_t i = 0; i < taken; ++i) {
-    if (fresh_ == base_) {
-      // Nothing handed out yet: the frame joins the record-less prefix.
-      ++fresh_;
-      ++base_;
-      continue;
+  if (fresh_ == base_) {
+    // Nothing handed out yet: the frames join the record-less prefix.
+    fresh_ += taken;
+    base_ += taken;
+  } else {
+    for (std::int64_t i = 0; i < taken; ++i) {
+      record(take()) = Frame{kNoPid, -2};  // wired marker
     }
-    record(take()) = Frame{kNoPid, -2};  // wired marker
   }
   wired_ += taken;
   return taken;

@@ -11,31 +11,26 @@ namespace {
 }  // namespace
 
 PageTable::PageTable(std::int64_t num_pages) {
-  auto meta = std::make_shared<Meta>();
-  meta->npages = num_pages;
+  Meta& m = meta_;
+  m.npages = num_pages;
   const std::size_t nwords = words_for(num_pages);
   const std::size_t n = static_cast<std::size_t>(num_pages);
-  meta->present.assign(nwords, 0);
-  meta->referenced.assign(nwords, 0);
-  meta->dirty.assign(nwords, 0);
-  meta->io_busy.assign(nwords, 0);
-  meta->ever_touched.assign(nwords, 0);
-  meta->has_slot.assign(nwords, 0);
-  meta->ws_seen.assign(nwords, 0);
-  meta->evicted.assign(nwords, 0);
-  meta->frame.assign(n, kNoFrame);
-  meta->slot.assign(n, kNoSwapSlot);
-  meta->last_ref.assign(n, 0);
-  meta->age.assign(n, 0);
-  meta_ = std::move(meta);
-}
-
-void PageTable::detach() {
-  meta_ = std::make_shared<Meta>(*meta_);
+  m.present.assign(nwords, 0);
+  m.referenced.assign(nwords, 0);
+  m.dirty.assign(nwords, 0);
+  m.io_busy.assign(nwords, 0);
+  m.ever_touched.assign(nwords, 0);
+  m.has_slot.assign(nwords, 0);
+  m.ws_seen.assign(nwords, 0);
+  m.evicted.assign(nwords, 0);
+  m.frame.assign(n, kNoFrame);
+  m.slot.assign(n, kNoSwapSlot);
+  m.last_ref.assign(n, 0);
+  m.age.assign(n, 0);
 }
 
 std::int64_t PageTable::count_present(VPage start, std::int64_t count) const {
-  const Meta& m = *meta_;
+  const Meta& m = meta_;
   if (count <= 0) return 0;
   if (start < 0) {
     count += start;
@@ -61,7 +56,7 @@ std::int64_t PageTable::count_present(VPage start, std::int64_t count) const {
 }
 
 void PageTable::clear_epoch_tags() {
-  Meta& m = rw();
+  Meta& m = meta_;
   std::fill(m.ws_seen.begin(), m.ws_seen.end(), 0);
   std::fill(m.evicted.begin(), m.evicted.end(), 0);
 }

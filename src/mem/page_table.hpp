@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "mem/page.hpp"
@@ -18,10 +17,6 @@
 /// bitmaps word-at-a-time with `std::countr_zero`; call sites that deal
 /// with a single page go through the `Pte` accessor view, which keeps the
 /// old field-per-page reading while compiling down to single bit ops.
-///
-/// The whole metadata block lives behind a shared_ptr so a snapshot can
-/// share it copy-on-write: capturing costs one refcount, and the table
-/// detaches (copies) only on the first mutation after a capture.
 
 namespace apsim {
 
@@ -59,8 +54,8 @@ class PageTable {
   };
 
   /// Raw row pointers for a hot loop that touches many pages. Obtained via
-  /// hot_rows(), which detaches from any snapshot first; the pointers stay
-  /// valid until the next capture/restore on this table.
+  /// hot_rows(); the rows never resize, so the pointers stay valid for the
+  /// table's lifetime.
   struct HotRows {
     std::uint64_t* present = nullptr;
     std::uint64_t* referenced = nullptr;
@@ -75,7 +70,7 @@ class PageTable {
 
   explicit PageTable(std::int64_t num_pages);
 
-  [[nodiscard]] std::int64_t num_pages() const { return meta_->npages; }
+  [[nodiscard]] std::int64_t num_pages() const { return meta_.npages; }
 
   [[nodiscard]] inline Pte at(VPage v);
   [[nodiscard]] inline ConstPte at(VPage v) const;
@@ -96,14 +91,14 @@ class PageTable {
 
   /// First page >= from with the present bit set; num_pages() if none.
   [[nodiscard]] VPage next_present(VPage from) const {
-    const Meta& m = *meta_;
+    const Meta& m = meta_;
     return scan_from(from, [&m](std::size_t w) { return m.present[w]; });
   }
 
   /// First page >= from that is present with no I/O in flight (a page the
   /// clock sweep can act on); num_pages() if none.
   [[nodiscard]] VPage next_present_idle(VPage from) const {
-    const Meta& m = *meta_;
+    const Meta& m = meta_;
     return scan_from(
         from, [&m](std::size_t w) { return m.present[w] & ~m.io_busy[w]; });
   }
@@ -111,7 +106,7 @@ class PageTable {
   /// First page >= from that is live (present or holding a swap copy);
   /// num_pages() if none.
   [[nodiscard]] VPage next_live(VPage from) const {
-    const Meta& m = *meta_;
+    const Meta& m = meta_;
     return scan_from(from,
                      [&m](std::size_t w) { return m.present[w] | m.has_slot[w]; });
   }
@@ -119,7 +114,7 @@ class PageTable {
   /// First page >= from that bgwrite could write back (present, dirty, no
   /// I/O in flight); num_pages() if none.
   [[nodiscard]] VPage next_dirty_candidate(VPage from) const {
-    const Meta& m = *meta_;
+    const Meta& m = meta_;
     return scan_from(from, [&m](std::size_t w) {
       return m.present[w] & m.dirty[w] & ~m.io_busy[w];
     });
@@ -134,47 +129,27 @@ class PageTable {
   /// previous one. Replaces the per-page epoch stamps of the AoS layout.
   void clear_epoch_tags();
 
-  // --- copy-on-write sharing ------------------------------------------------
+  // --- metadata rows --------------------------------------------------------
 
-  /// Share the metadata block (for a snapshot image). The table keeps using
-  /// it; the first mutation afterwards detaches onto a private copy.
-  [[nodiscard]] std::shared_ptr<const Meta> share_meta() const { return meta_; }
-
-  /// Point this table at a previously shared metadata block (snapshot
-  /// restore). Future mutations copy-on-write; the image stays intact.
-  void adopt_meta(std::shared_ptr<const Meta> m) {
-    assert(m && m->npages == meta_->npages);
-    meta_ = std::move(m);
-  }
-
-  /// Row pointers for a hot loop; detaches from any snapshot first.
+  /// Row pointers for a hot loop.
   [[nodiscard]] HotRows hot_rows() {
-    Meta& m = rw();
+    Meta& m = meta_;
     return {m.present.data(),  m.referenced.data(),   m.dirty.data(),
             m.io_busy.data(),  m.ever_touched.data(), m.has_slot.data(),
             m.ws_seen.data(),  m.slot.data(),         m.last_ref.data()};
   }
 
-  /// Read-only metadata view (never detaches).
-  [[nodiscard]] const Meta& ro() const { return *meta_; }
-
-  /// Mutable metadata view; detaches from any snapshot sharing first.
-  [[nodiscard]] Meta& rw() {
-    if (meta_.use_count() > 1) detach();
-    // Sole owner: shedding const is safe, the block was created non-const.
-    return const_cast<Meta&>(*meta_);
-  }
+  [[nodiscard]] const Meta& ro() const { return meta_; }
+  [[nodiscard]] Meta& rw() { return meta_; }
 
  private:
-  void detach();
-
   template <class WordAt>
   [[nodiscard]] VPage scan_from(VPage from, WordAt word_at) const {
     const std::int64_t n = num_pages();
     if (from >= n) return n;
     if (from < 0) from = 0;
     std::size_t wi = page_word(from);
-    const std::size_t nwords = meta_->present.size();
+    const std::size_t nwords = meta_.present.size();
     std::uint64_t w = word_at(wi) & (~std::uint64_t{0} << (from & 63));
     while (w == 0) {
       if (++wi >= nwords) return n;
@@ -183,14 +158,12 @@ class PageTable {
     return static_cast<VPage>((wi << 6) + std::countr_zero(w));
   }
 
-  std::shared_ptr<const Meta> meta_;
+  Meta meta_;
   VPage clock_hand_ = 0;
 };
 
-/// Mutable accessor view of one page-table entry. A lightweight
-/// (table, page) pair: every accessor resolves the row on use, so views
-/// stay valid across copy-on-write detaches. Setters detach the table
-/// from any live snapshot before writing.
+/// Mutable accessor view of one page-table entry: a lightweight
+/// (table, page) pair whose accessors resolve the row on use.
 class Pte {
  public:
   Pte(PageTable* pt, VPage v) : pt_(pt), v_(v) {}

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -47,13 +46,6 @@ class ReclaimPolicy {
   /// instead of rescanning the page tables. Must stay cheap: every fault
   /// and page-in lands here. Default: ignore.
   virtual void on_map(Pid /*pid*/, VPage /*vpage*/) {}
-
-  /// Deep copy including sweep state (clock hands, queues, ghost lists), so
-  /// a memory snapshot can save and restore the policy mid-run. Policies
-  /// that do not support snapshotting return nullptr (the default).
-  [[nodiscard]] virtual std::unique_ptr<ReclaimPolicy> clone() const {
-    return nullptr;
-  }
 };
 
 /// Linux-2.2-style global clock replacement: a persistent sweep that visits
@@ -70,10 +62,6 @@ class ClockReclaimPolicy final : public ReclaimPolicy {
                                                    std::int64_t max_pages) override;
 
   [[nodiscard]] std::string_view name() const override { return "clock-lru"; }
-
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<ClockReclaimPolicy>(*this);
-  }
 
  private:
   std::size_t cursor_ = 0;  ///< rotating process index

@@ -25,10 +25,6 @@ class ExactLruPolicy final : public ReclaimPolicy {
                                                    std::int64_t max_pages) override;
 
   [[nodiscard]] std::string_view name() const override { return "exact-lru"; }
-
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<ExactLruPolicy>(*this);
-  }
 };
 
 /// Global FIFO by fault order. Maintains its own queue of (pid, vpage)
@@ -39,10 +35,6 @@ class FifoPolicy final : public ReclaimPolicy {
                                                    std::int64_t max_pages) override;
 
   [[nodiscard]] std::string_view name() const override { return "fifo"; }
-
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<FifoPolicy>(*this);
-  }
 
  private:
   /// Rebuild the queue from the page tables; returns the pages examined.

@@ -174,8 +174,6 @@ std::vector<Victim> MglruPolicy::select_victims(Vmm& vmm,
       // in flight at generation 0 and unreferenced); each skipped page still
       // costs one quota step and one budget unit, exactly like the
       // page-at-a-time sweep, so rotation and give-up points are unchanged.
-      // Re-read the rows each time: a write below may detach the table from
-      // a snapshot.
       const VPage np = next_actionable(pt.ro(), st.gen0, v, npages);
       if (np != v) {
         const std::int64_t gap = np - v;
@@ -255,7 +253,7 @@ void S3FifoPolicy::enqueue(const Key& key) {
 std::int64_t S3FifoPolicy::ingest(Vmm& vmm) {
   std::int64_t examined = 0;
   const std::uint64_t maps = vmm.stats().pages_mapped;
-  if (synced_ && synced_vmm_ == &vmm && synced_maps_ + mapped_.size() == maps) {
+  if (synced_ && synced_maps_ + mapped_.size() == maps) {
     // After the last call every resident page was tracked except the
     // victims it returned, and tracked_ changes only inside calls; so an
     // untracked resident page now was either mapped since or returned then.
@@ -287,7 +285,6 @@ std::int64_t S3FifoPolicy::ingest(Vmm& vmm) {
   mapped_.clear();
   returned_.clear();
   synced_ = true;
-  synced_vmm_ = &vmm;
   synced_maps_ = maps;
   return examined;
 }

@@ -43,10 +43,6 @@ class MglruPolicy final : public ReclaimPolicy {
 
   [[nodiscard]] std::string_view name() const override { return "mglru"; }
 
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<MglruPolicy>(*this);
-  }
-
   /// Generation a referenced page is promoted to; pages enter at kEntryGen.
   static constexpr std::uint8_t kYoungest = 3;
   static constexpr std::uint8_t kEntryGen = 1;
@@ -80,10 +76,6 @@ class S3FifoPolicy final : public ReclaimPolicy {
 
   /// Remember the page for the next ingest (it may need a queue entry).
   void on_map(Pid pid, VPage vpage) override;
-
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<S3FifoPolicy>(*this);
-  }
 
   struct Stats {
     std::uint64_t ghost_hits = 0;        ///< re-entries promoted via ghost
@@ -157,7 +149,6 @@ class S3FifoPolicy final : public ReclaimPolicy {
   // the Vmm's map count. returned_ holds the last call's victims.
   std::vector<Key> mapped_;
   std::vector<Key> returned_;
-  const Vmm* synced_vmm_ = nullptr;
   std::uint64_t synced_maps_ = 0;
   bool synced_ = false;
 

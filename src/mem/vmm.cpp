@@ -87,9 +87,6 @@ const AddressSpace& Vmm::space(Pid pid) const {
 // A page dirtied anew drops its swap copy, now stale, unless a transfer holds
 // the page (its landing drops the copy then). The rule has one page form
 // (touch_page) and one word form (touch_word); every touch goes through one.
-// Each path tests its first page through the Pte view, which never detaches,
-// and takes hot_rows(), which detaches the table from a snapshot, only once
-// there is a page to touch.
 
 bool Vmm::touch(Pid pid, VPage vpage, bool write) {
   return touch(space(pid), vpage, write);
@@ -146,6 +143,7 @@ Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
                              std::int64_t begin, std::int64_t budget) {
   TouchRun out;
   if (budget <= 0) return out;
+  const PageTable::HotRows rows = as.pt_.hot_rows();
   const VPage base = plan.region_start;
   const std::int64_t rp = plan.region_pages;
   std::int64_t ws_new = 0;
@@ -155,11 +153,6 @@ Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
   // Word form: touch [lo, hi) in ascending order up to its first absent
   // page. Returns false when it met one.
   const auto touch_words = [&](VPage lo, VPage hi) {
-    if (!as.pt_.at(lo).present()) {
-      absent = lo;
-      return false;
-    }
-    const PageTable::HotRows rows = as.pt_.hot_rows();
     VPage v = lo;
     while (v < hi && absent < 0) {
       const std::size_t w = page_word(v);
@@ -183,21 +176,15 @@ Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
   // Page form: touch up to `count` pages drawn from next_page(), in order,
   // stopping at the first absent one.
   const auto touch_pages = [&](std::int64_t count, auto next_page) {
-    VPage v = next_page();
-    if (!as.pt_.at(v).present()) {
-      absent = v;
-      return;
-    }
-    const PageTable::HotRows rows = as.pt_.hot_rows();
     const SimTime now = sim_.now();
     while (true) {
-      ws_new += touch_page(as, rows, v, now, plan.write);
-      if (++applied == count) return;
-      v = next_page();
+      const VPage v = next_page();
       if ((rows.present[page_word(v)] & page_bit(v)) == 0) {
         absent = v;
         return;
       }
+      ws_new += touch_page(as, rows, v, now, plan.write);
+      if (++applied == count) return;
     }
   };
 
@@ -291,91 +278,6 @@ void Vmm::bind_swap_image(Pid pid, const std::vector<PageRun>& pages,
   }
   assert(slot_it == slots.end() && slot_off == 0 &&
          "page/slot run totals must match");
-}
-
-// ---------------------------------------------------------------------------
-// Copy-on-write memory snapshots
-
-MemSnapshot Vmm::capture_snapshot() const {
-  // Only an I/O-quiet instant can be captured: an in-flight transfer holds a
-  // callback into this Vmm that a restored stack could never re-create.
-  assert(waiters_.empty() && evictions_in_flight_ == 0 && io_waiters_.empty() &&
-         stalled_retry_counts_.empty() && "capture requires quiescence");
-  MemSnapshot snap;
-  snap.spaces.reserve(spaces_.size());
-  for (const auto& [pid, as] : spaces_) {
-    const PageTable& pt = as->pt_;
-#ifndef NDEBUG
-    for (std::uint64_t w : pt.ro().io_busy) assert(w == 0);
-#endif
-    MemSnapshot::SpaceImage image;
-    image.pid = pid;
-    image.meta = pt.share_meta();
-    image.clock_hand = pt.clock_hand();
-    image.resident = as->resident_;
-    image.dirty_resident = as->dirty_resident_;
-    image.ws_pages = as->ws_pages_;
-    image.writeback_hand = as->writeback_hand_;
-    image.alive = as->alive_;
-    image.stats = as->stats_;
-    snap.spaces.push_back(std::move(image));
-  }
-  snap.next_pid = next_pid_;
-  snap.frames = frames_;
-  snap.swap = swap_.capture_alloc();
-  snap.policy = policy_->clone();
-  assert(snap.policy && "snapshots need a clonable reclaim policy");
-  snap.params = params_;
-  snap.stats = stats_;
-  snap.reclaim_stalled = reclaim_stalled_;
-  snap.write_failure_streak = write_failure_streak_;
-  snap.release_warnings = release_warnings_;
-  snap.pagein = pagein_series_;
-  snap.pageout = pageout_series_;
-  snap.when = sim_.now();
-  snap.disk_head = swap_.disk().head();
-  snap.disk_stats = swap_.disk().stats();
-  return snap;
-}
-
-void Vmm::restore_snapshot(const MemSnapshot& snap) {
-  assert(waiters_.empty() && evictions_in_flight_ == 0 && io_waiters_.empty() &&
-         "restore requires a quiescent target");
-  assert(frames_.total_frames() == snap.frames.total_frames());
-  spaces_.clear();
-  pids_.clear();
-  pids_.reserve(snap.spaces.size());
-  for (const MemSnapshot::SpaceImage& image : snap.spaces) {
-    // The AddressSpace constructor allocates a fresh metadata block;
-    // adopt_meta immediately replaces it with the image's shared one, so
-    // the restored table starts copy-on-write against the snapshot.
-    auto as = std::make_unique<AddressSpace>(image.pid, image.meta->npages);
-    PageTable& pt = as->pt_;
-    pt.adopt_meta(image.meta);
-    pt.set_clock_hand(image.clock_hand);
-    as->resident_ = image.resident;
-    as->dirty_resident_ = image.dirty_resident;
-    as->ws_pages_ = image.ws_pages;
-    as->writeback_hand_ = image.writeback_hand;
-    as->alive_ = image.alive;
-    as->stats_ = image.stats;
-    pids_.push_back(image.pid);
-    spaces_.emplace(image.pid, std::move(as));
-  }
-  next_pid_ = snap.next_pid;
-  frames_ = snap.frames;
-  swap_.restore_alloc(snap.swap);
-  policy_ = snap.policy->clone();
-  params_ = snap.params;
-  stats_ = snap.stats;
-  reclaim_stalled_ = snap.reclaim_stalled;
-  write_failure_streak_ = snap.write_failure_streak;
-  release_warnings_ = snap.release_warnings;
-  pagein_series_ = snap.pagein;
-  pageout_series_ = snap.pageout;
-  reclaim_scheduled_ = false;
-  swap_.disk().set_head(snap.disk_head);
-  swap_.disk().set_stats(snap.disk_stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -140,8 +140,6 @@ struct PageRun {
   friend bool operator==(const PageRun&, const PageRun&) = default;
 };
 
-struct MemSnapshot;
-
 class Vmm {
  public:
   Vmm(Simulator& sim, SwapDevice& swap, VmmParams params);
@@ -258,26 +256,6 @@ class Vmm {
   /// the process as usual.
   void bind_swap_image(Pid pid, const std::vector<PageRun>& pages,
                        const std::vector<SlotRun>& slots);
-
-  // ---- copy-on-write memory snapshots (prefix forking) ----
-
-  /// Capture this Vmm's complete paging state as an in-memory image. Page
-  /// metadata is shared copy-on-write with the live tables — capturing is
-  /// O(#spaces + frames + swap bitmap), not O(pages), and costs nothing more
-  /// until one side mutates. Requires an I/O-quiet instant (no in-flight
-  /// transfers, no blocked waiters: run the simulator until the queue
-  /// drains first) and a clonable reclaim policy. The image stays valid and
-  /// restorable any number of times, independent of this Vmm's future.
-  [[nodiscard]] MemSnapshot capture_snapshot() const;
-
-  /// Adopt a captured image: rebuild every address space (page metadata
-  /// shared copy-on-write with the image), the frame table, the swap
-  /// allocator, the reclaim policy and all counters, and reposition the
-  /// disk head, so that — once the caller advances the simulator clock to
-  /// the image's `when` — this stack continues bit-identically to the one
-  /// that was captured. Intended for a freshly built Vmm with the same
-  /// frame count and swap geometry; any existing state is discarded.
-  void restore_snapshot(const MemSnapshot& snap);
 
   // ---- failure reporting ----
 
@@ -559,48 +537,6 @@ class Vmm {
   TimeSeries pagein_series_{kSecond};
   TimeSeries pageout_series_{kSecond};
   Stats stats_;
-};
-
-/// In-memory image of one Vmm's complete paging state, taken at an I/O-quiet
-/// instant by Vmm::capture_snapshot(). Page metadata is shared copy-on-write
-/// with the live tables, so a capture costs one refcount per space and the
-/// big arrays are copied only when either side mutates them afterwards.
-/// Restoring into a freshly built stack with the same frame count and swap
-/// geometry — then advancing that stack's clock to `when` — reproduces the
-/// original run exactly: paging is a deterministic function of this state
-/// and future touches. This is what lets sweep benches sharing an expensive
-/// warmup prefix fork each sweep point from one image instead of re-running
-/// the prefix per point.
-struct MemSnapshot {
-  struct SpaceImage {
-    Pid pid = kNoPid;
-    std::shared_ptr<const PageTable::Meta> meta;  ///< shared copy-on-write
-    VPage clock_hand = 0;
-    std::int64_t resident = 0;
-    std::int64_t dirty_resident = 0;
-    std::int64_t ws_pages = 0;
-    VPage writeback_hand = 0;
-    bool alive = true;
-    AddressSpace::Stats stats;
-  };
-  std::vector<SpaceImage> spaces;
-  Pid next_pid = 1;
-
-  FrameTable frames{0};            ///< eager copy (small next to the tables)
-  SwapDevice::AllocImage swap;     ///< slot bitmap + next-fit cursor
-  std::unique_ptr<ReclaimPolicy> policy;  ///< clone; re-cloned per restore
-
-  VmmParams params;
-  Vmm::Stats stats;
-  bool reclaim_stalled = false;
-  int write_failure_streak = 0;
-  std::uint64_t release_warnings = 0;
-  TimeSeries pagein{kSecond};
-  TimeSeries pageout{kSecond};
-
-  SimTime when = 0;        ///< capture instant (advance the fork's clock here)
-  BlockNum disk_head = 0;  ///< head position, for identical seek costs
-  Disk::Stats disk_stats;  ///< cumulative disk counters up to the capture
 };
 
 }  // namespace apsim

@@ -26,10 +26,6 @@ class ClockReclaimPolicy final : public ReclaimPolicy {
 
   [[nodiscard]] std::string_view name() const override { return "clock-lru"; }
 
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<ClockReclaimPolicy>(*this);
-  }
-
  private:
   std::size_t cursor_ = 0;  ///< rotating process index
 };
@@ -40,10 +36,6 @@ class MglruPolicy final : public ReclaimPolicy {
                                                    std::int64_t max_pages) override;
 
   [[nodiscard]] std::string_view name() const override { return "mglru"; }
-
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<MglruPolicy>(*this);
-  }
 
   /// Generation a referenced page is promoted to; pages enter at kEntryGen.
   static constexpr std::uint8_t kYoungest = 3;
@@ -67,10 +59,6 @@ class S3FifoPolicy final : public ReclaimPolicy {
                                                    std::int64_t max_pages) override;
 
   [[nodiscard]] std::string_view name() const override { return "s3-fifo"; }
-
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    return std::make_unique<S3FifoPolicy>(*this);
-  }
 
   struct Stats {
     std::uint64_t ghost_hits = 0;        ///< re-entries promoted via ghost

@@ -72,12 +72,6 @@ class RecordingPolicy final : public ReclaimPolicy {
 
   void on_map(Pid pid, VPage vpage) override { inner_->on_map(pid, vpage); }
 
-  [[nodiscard]] std::unique_ptr<ReclaimPolicy> clone() const override {
-    auto inner = inner_->clone();
-    if (!inner) return nullptr;
-    return std::make_unique<RecordingPolicy>(std::move(inner), log_);
-  }
-
  private:
   std::unique_ptr<ReclaimPolicy> inner_;
   std::shared_ptr<ReclaimLog> log_;

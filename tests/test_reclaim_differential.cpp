@@ -13,11 +13,14 @@
 #include <tuple>
 #include <vector>
 
+#include "disk/disk.hpp"
+#include "disk/swap_device.hpp"
 #include "harness/runner.hpp"
-#include "harness/sweep.hpp"
 #include "mem/reclaim_gen.hpp"
+#include "mem/vmm.hpp"
 #include "outcome_compare.hpp"
 #include "reclaim_recorder.hpp"
+#include "sim/simulator.hpp"
 
 namespace apsim {
 namespace {
@@ -148,16 +151,28 @@ TEST(ReclaimDifferential, LivePolicySwitch) {
 // ---------------------------------------------------------------------------
 // VMM-level scripts
 
-MemLabParams lab_params() {
-  MemLabParams params;
-  params.frames = 512;
+VmmParams lab_vmm_params() {
+  VmmParams params;
+  params.total_frames = 512;
   params.freepages_min = 16;
   params.freepages_low = 24;
   params.freepages_high = 48;
-  params.disk_blocks = 1 << 14;
-  params.swap_slots = 1 << 14;
   return params;
 }
+
+/// One paging stack (simulator, disk, swap device and Vmm) for the scripts.
+struct Lab {
+  Simulator sim;
+  Disk disk{sim, DiskParams{.num_blocks = 1 << 14}};
+  SwapDevice swap{disk, 0, 1 << 14};
+  Vmm vmm{sim, swap, lab_vmm_params()};
+
+  /// Schedule \p work at the current instant and drain the event queue.
+  void run(const std::function<void()>& work) {
+    sim.after(0, [&work] { work(); });
+    (void)sim.run();
+  }
+};
 
 constexpr std::int64_t kLabPages = 400;  // per process; three overcommit 512
 
@@ -202,8 +217,8 @@ void touch_mix(Vmm& vmm, std::vector<Pid> pids, std::int64_t total,
 
 /// Three processes touch pages while the second one's dirty pages are
 /// written back in the background (resident pages in flight).
-void lab_phase_one(MemLab& lab) {
-  Vmm& vmm = lab.vmm();
+void lab_phase_one(Lab& lab) {
+  Vmm& vmm = lab.vmm;
   std::vector<Pid> pids;
   for (int i = 0; i < 3; ++i) pids.push_back(vmm.create_process(kLabPages));
   lab.run([&vmm, pids] {
@@ -214,8 +229,8 @@ void lab_phase_one(MemLab& lab) {
 }
 
 /// The second process dies; the other two keep paging around its corpse.
-void lab_phase_two(MemLab& lab) {
-  Vmm& vmm = lab.vmm();
+void lab_phase_two(Lab& lab) {
+  Vmm& vmm = lab.vmm;
   const std::vector<Pid> pids = vmm.pids();
   lab.run([&vmm, pids] {
     vmm.release_process(pids[1]);
@@ -223,26 +238,22 @@ void lab_phase_two(MemLab& lab) {
   });
 }
 
-/// Phase one, a snapshot, then phase two both in the original lab and in a
-/// lab forked from the snapshot. Returns everything the policies did.
-ReclaimLog snapshot_script(const std::string& policy, bool use_oracles) {
+/// Phase one, then phase two, in one lab. Returns everything the policies
+/// did.
+ReclaimLog dead_pid_script(const std::string& policy, bool use_oracles) {
   ScopedRecording recording(use_oracles);
-  MemLab lab(lab_params());
-  lab.vmm().set_reclaim_policy(make_reclaim_policy(policy));
+  Lab lab;
+  lab.vmm.set_reclaim_policy(make_reclaim_policy(policy));
   lab_phase_one(lab);
-  const MemSnapshot snap = lab.checkpoint();
-  auto fork = MemLab::fork(lab_params(), snap);
-  lab_phase_two(*fork);
   lab_phase_two(lab);
-  EXPECT_EQ(fork->vmm().stats().pages_mapped, lab.vmm().stats().pages_mapped);
   return recording.log();
 }
 
-TEST(ReclaimDifferential, SnapshotForkMidRunAndDeadPid) {
+TEST(ReclaimDifferential, DeadPidMidRun) {
   for (const char* policy : {"clock-lru", "mglru", "s3-fifo"}) {
     SCOPED_TRACE(policy);
-    expect_same_calls(snapshot_script(policy, false),
-                      snapshot_script(policy, true));
+    expect_same_calls(dead_pid_script(policy, false),
+                      dead_pid_script(policy, true));
   }
 }
 
@@ -251,24 +262,24 @@ TEST(ReclaimDifferential, S3FifoCalledWithoutBeingInstalled) {
   // that sees no on_map calls. Between rounds of paging, both s3-fifos are
   // asked for victims (repeatedly, so later calls find their earlier
   // victims still resident); they must stay in lockstep.
-  MemLab lab_new(lab_params());
-  MemLab lab_ref(lab_params());
+  Lab lab_new;
+  Lab lab_ref;
   S3FifoPolicy fresh;
   oracle::S3FifoPolicy ref;
   std::vector<Pid> pids;
   for (int i = 0; i < 3; ++i) {
-    pids.push_back(lab_new.vmm().create_process(kLabPages));
-    ASSERT_EQ(lab_ref.vmm().create_process(kLabPages), pids.back());
+    pids.push_back(lab_new.vmm.create_process(kLabPages));
+    ASSERT_EQ(lab_ref.vmm.create_process(kLabPages), pids.back());
   }
   for (std::uint64_t round = 0; round < 6; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    for (MemLab* lab : {&lab_new, &lab_ref}) {
-      Vmm& vmm = lab->vmm();
+    for (Lab* lab : {&lab_new, &lab_ref}) {
+      Vmm& vmm = lab->vmm;
       lab->run([&vmm, &pids, round] { touch_mix(vmm, pids, 500, round + 1); });
     }
     for (std::int64_t k = 0; k < 3; ++k) {
-      const auto got = fresh.select_victims(lab_new.vmm(), 16 + 8 * k);
-      const auto want = ref.select_victims(lab_ref.vmm(), 16 + 8 * k);
+      const auto got = fresh.select_victims(lab_new.vmm, 16 + 8 * k);
+      const auto want = ref.select_victims(lab_ref.vmm, 16 + 8 * k);
       ASSERT_EQ(got, want) << "call " << k;
     }
     EXPECT_EQ(fresh.small_size(), ref.small_size());
@@ -276,8 +287,8 @@ TEST(ReclaimDifferential, S3FifoCalledWithoutBeingInstalled) {
     EXPECT_EQ(fresh.ghost_size(), ref.ghost_size());
     EXPECT_EQ(fresh.stats().ghost_hits, ref.stats().ghost_hits);
     EXPECT_EQ(fresh.stats().promotions, ref.stats().promotions);
-    EXPECT_EQ(lab_new.vmm().stats().pages_mapped,
-              lab_ref.vmm().stats().pages_mapped);
+    EXPECT_EQ(lab_new.vmm.stats().pages_mapped,
+              lab_ref.vmm.stats().pages_mapped);
   }
 }
 

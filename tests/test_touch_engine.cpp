@@ -481,36 +481,6 @@ TEST(TouchRunEquivalence, WordWalkEdgesAgainstScalarLoop) {
   t.expect_same_state();
 }
 
-TEST(TouchRunEquivalence, FaultOnTheFirstPageLeavesASnapshotShared) {
-  // A run that faults before touching anything must not detach the page
-  // table from a snapshot sharing its metadata; a run that touches does.
-  Stack s;
-  const Pid pid = s.vmm.create_process(256);
-  s.populate(pid, 64, 128);
-  const MemSnapshot snap = s.vmm.capture_snapshot();
-  AddressSpace& as = s.vmm.space(pid);
-  const PageTable::Meta* shared = &as.page_table().ro();
-  ASSERT_EQ(snap.spaces.at(0).meta.get(), shared);
-
-  TouchPlan plan = sequential_plan(0, 128, true);
-  Vmm::TouchRun run = s.vmm.touch_run(as, plan, 0, 128);
-  EXPECT_TRUE(run.faulted);
-  EXPECT_EQ(run.consumed, 0);
-  plan.pattern = TouchPattern::kStrided;
-  plan.stride = 3;
-  run = s.vmm.touch_run(as, plan, 0, 128);
-  EXPECT_EQ(run.consumed, 0);
-  plan.pattern = TouchPattern::kRandom;
-  plan.region_pages = 1;
-  run = s.vmm.touch_run(as, plan, 0, 128);
-  EXPECT_EQ(run.consumed, 0);
-  EXPECT_EQ(&as.page_table().ro(), shared);
-
-  run = s.vmm.touch_run(as, sequential_plan(64, 64, false), 0, 64);
-  EXPECT_EQ(run.consumed, 64);
-  EXPECT_NE(&as.page_table().ro(), shared);
-}
-
 // ---------------------------------------------------------------------------
 // Bulk vs scalar: whole CPU-executor runs
 
