@@ -16,7 +16,8 @@
 // An end-to-end macro section times small fig7-style and fig8-style gang
 // runs with the batched touch engine against the scalar per-touch loop
 // (ExperimentConfig::scalar_touch) and records the worse of the two as
-// `endtoend_speedup`.
+// `endtoend_speedup`. The `zipf_rank` row times the touch engine's zipf
+// draws, hash plus ZipfTable::rank, against hash plus the direct zipf_rank.
 //
 // `--smoke` shrinks the workloads for CI (seconds, not minutes);
 // `--min-speedup X` exits non-zero when the schedule/pop speedup vs the
@@ -43,6 +44,7 @@
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
 #include "mem/page_table.hpp"
+#include "mem/touch_plan.hpp"
 #include "mem/vmm.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -377,6 +379,53 @@ Result page_scan_sweep(bool smoke, int reps) {
   return res;
 }
 
+/// Zipf draws as the touch engine makes them, over CG.B's 4-node matrix
+/// region (n = 26,127, theta 1.0): hash plus ZipfTable::rank against hash
+/// plus the direct zipf_rank, alternating repetition by repetition. The
+/// table is built before timing, as the process-wide memo keeps it across a
+/// run's ops. Aborts if any rank differs; `mixed_bucket_share` is the share
+/// of buckets (and of draws, which fall uniformly over buckets) that fall
+/// back to zipf_rank.
+Result zipf_rank_draws(bool smoke, int reps) {
+  Result res;
+  res.name = "zipf_rank";
+  constexpr std::int64_t kPages = 26127;
+  constexpr double kTheta = 1.0;
+  constexpr std::uint64_t kSeed = 0x2F1B;
+  const std::int64_t draws = smoke ? (1 << 20) : (1 << 23);
+  const ZipfTable& table = zipf_table(kPages, kTheta);
+  const double hn = table.hn();
+  for (std::int64_t i = 0; i < draws; ++i) {
+    const std::uint64_t h = touch_hash(kSeed, i);
+    if (table.rank(h) != zipf_rank(h, kPages, kTheta, hn)) {
+      std::fprintf(stderr, "FATAL: zipf_rank: the table and zipf_rank differ "
+                           "at draw %lld\n", static_cast<long long>(i));
+      std::exit(1);
+    }
+  }
+  std::tie(res.new_ms, res.legacy_ms) = interleaved_median_ms(
+      reps,
+      [&] {
+        std::int64_t sum = 0;
+        for (std::int64_t i = 0; i < draws; ++i) {
+          sum += table.rank(touch_hash(kSeed, i));
+        }
+        g_dispatched += static_cast<std::uint64_t>(sum);
+      },
+      [&] {
+        std::int64_t sum = 0;
+        for (std::int64_t i = 0; i < draws; ++i) {
+          sum += zipf_rank(touch_hash(kSeed, i), kPages, kTheta, hn);
+        }
+        g_dispatched += static_cast<std::uint64_t>(sum);
+      });
+  res.items = draws;
+  res.extra = static_cast<double>(table.mixed_buckets()) /
+              static_cast<double>(std::int64_t{1} << table.bits());
+  res.extra_name = "mixed_bucket_share";
+  return res;
+}
+
 /// Fault storm through the real Vmm: one process twice the size of memory,
 /// swept touch-by-touch so every miss takes the full fault path (alloc,
 /// read-ahead, reclaim, event-queue round trips). Exercises the whole
@@ -589,6 +638,7 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 3 : 7;
   // The schedule/pop rows feed the --min-speedup gate, and one run takes a
   // few ms: enough repetitions keep one host hiccup from moving the ratio.
+  // The zipf_rank row's runs are as short, so it takes as many.
   const int queue_reps = std::max(reps, 31);
   std::vector<Result> results;
 
@@ -623,6 +673,7 @@ int main(int argc, char** argv) {
           [n] { same_time_bursts<legacy::EventQueue>(n); })));
 
   results.push_back(page_scan_sweep(smoke, reps));
+  results.push_back(zipf_rank_draws(smoke, queue_reps));
   results.push_back(
       fault_storm(smoke ? 2048 : 8192, smoke ? 2 : 4, smoke ? 2 : 3));
   results.push_back(fig7_small(smoke ? 0.25 : 0.5, smoke ? 1 : 3, scalar));
@@ -637,9 +688,13 @@ int main(int argc, char** argv) {
   for (const Result& r : results) {
     if (r.legacy_ms >= 0.0) {
       std::printf("%-22s %9.2f ms  (%6.2f Mitems/s)  legacy %9.2f ms  "
-                  "speedup %.2fx\n",
+                  "speedup %.2fx%s\n",
                   r.name.c_str(), r.new_ms, r.mops(r.new_ms), r.legacy_ms,
-                  r.speedup());
+                  r.speedup(),
+                  r.extra >= 0.0 ? ("  " + std::string(r.extra_name) + "=" +
+                                    json_number(r.extra))
+                                       .c_str()
+                                 : "");
     } else {
       std::printf("%-22s %9.2f ms  (%lld items%s%s)\n", r.name.c_str(),
                   r.new_ms, static_cast<long long>(r.items),

@@ -217,6 +217,13 @@ Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
         return v;
       });
     }
+  } else if (plan.pattern == TouchPattern::kZipf) {
+    assert(plan.zipf != nullptr && plan.zipf->n() == rp &&
+           plan.zipf->theta() == plan.theta);
+    const ZipfTable& zipf = *plan.zipf;
+    std::int64_t i = begin;
+    touch_pages(budget,
+                [&] { return base + zipf.rank(touch_hash(plan.seed, i++)); });
   } else {
     std::int64_t i = begin;
     touch_pages(budget, [&] { return plan.page_at(i++); });

@@ -51,7 +51,7 @@ TouchPlan AccessChunk::prepare() const {
   plan.seed = seed;
   plan.theta = theta;
   if (pattern == Pattern::kZipf) {
-    plan.zipf_hn = zipf_harmonic(region_pages, theta);
+    plan.zipf = &zipf_table(region_pages, theta);
   }
   return plan;
 }

@@ -49,8 +49,9 @@ struct AccessChunk {
   [[nodiscard]] VPage page_at(std::int64_t i) const;
 
   /// Prepared form for the batched touch engine (Vmm::touch_run): same
-  /// addressing, with the zipf harmonic constant precomputed so the
-  /// per-touch hot loop does no pow/log.
+  /// addressing; a zipf chunk's plan points at the process-wide
+  /// zipf_table(region_pages, theta), whose guide table maps most draws to
+  /// their rank without an exp/pow.
   [[nodiscard]] TouchPlan prepare() const;
 
   /// Cached zipf harmonic constant for page_at (valid while the key fields

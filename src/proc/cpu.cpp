@@ -102,8 +102,8 @@ void Cpu::run_slice(Process& p) {
     p.op_active_ = true;
     p.op_pos_ = 0;
     if (params_.batched_touch && p.current_op_.kind == Op::Kind::kAccess) {
-      // Hoist the chunk's loop invariants (zipf harmonic constant) once per
-      // op instead of per touch.
+      // Hoist the chunk's loop invariants (a zipf chunk's rank table) once
+      // per op instead of per touch.
       p.touch_plan_ = p.current_op_.access.prepare();
     }
   }

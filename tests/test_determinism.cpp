@@ -1,5 +1,6 @@
 // Thread-count independence of sweeps: parallel_map runs one Simulator per
-// worker, shared-nothing, so mapping the same mixed gang/batch config list at
+// worker, sharing nothing but the process-wide zipf-table memo (a pure
+// function of its key), so mapping the same mixed gang/batch config list at
 // 1, 2 and 8 threads must produce byte-identical RunOutcome vectors. Any
 // divergence means a run read state outside its own Simulator (a global, a
 // shared RNG, allocator-address-dependent ordering) — exactly the class of
@@ -44,6 +45,12 @@ std::vector<ExperimentConfig> sweep_configs() {
     tiered.policy = PolicySet::all();
     tiered.tier_mb = 4.0;
     configs.push_back(tiered);
+    // A second CG run with the same footprint draws its ranks from the same
+    // process-wide zipf table: the serial pass builds it, and at 2 and 8
+    // threads two workers read it at once.
+    ExperimentConfig plain = configs[0];
+    plain.app = NpbApp::kCG;
+    configs.push_back(plain);
   }
   {
     ExperimentConfig faulted = configs[0];

@@ -185,6 +185,40 @@ TEST(GoldenRun, MgCountersPinnedPerPolicy) {
   }
 }
 
+// CG.W in MG's shape: the only workload that draws zipf touches (its matrix
+// phase, theta 1.0 over 90% of the footprint), and here it takes major
+// faults partway through its zipf runs. so/ao/ai/bg is left out: it swaps in
+// over 500,000 pages and takes 30 times or more the host time of any row
+// below.
+ExperimentConfig cg_config(const std::string& policy) {
+  ExperimentConfig config = mg_config(policy);
+  config.app = NpbApp::kCG;
+  return config;
+}
+
+// Recorded before the touch engine drew zipf ranks from a guide table.
+constexpr GoldenCase kGoldenCg[] = {
+    {"orig",
+     {89708651632, 6136, 24251, 15435, 686, 0, 0, 0, 20,
+      {81185878539, 89708651632}, {2735, 3401}}},
+    {"so",
+     {62497515328, 3952, 9712, 11697, 0, 0, 0, 0, 11,
+      {62497515328, 45730121279}, {2951, 1001}}},
+    {"ai",
+     {143451709736, 5757, 52142, 15713, 1349, 27674, 27674, 0, 32,
+      {130283218275, 143451709736}, {1890, 3867}}},
+    {"bg",
+     {88579980016, 5832, 25917, 22225, 643, 0, 0, 10240, 20,
+      {80358181235, 88579980016}, {2582, 3250}}},
+};
+
+TEST(GoldenRun, CgCountersPinnedPerPolicy) {
+  for (const GoldenCase& golden : kGoldenCg) {
+    SCOPED_TRACE(testing::Message() << "policy " << golden.policy);
+    expect_golden(run_gang(cg_config(golden.policy)), golden.want);
+  }
+}
+
 TEST(GoldenRun, ExtractedMatrixPolicyMatchesPreRefactorGolden) {
   // Differential pin for the SchedulerPolicy extraction: selecting the
   // paper's rotation by name through the policy registry must reproduce the

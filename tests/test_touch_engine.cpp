@@ -2,9 +2,10 @@
 // reference-string addressing (all four patterns, both zipf regimes), the
 // prepared TouchPlan agreeing with AccessChunk, and bulk-vs-scalar
 // equivalence: direct Vmm::touch_run fuzzing (including the word walk's
-// partial words, stale swap-slot frees and pages with I/O in flight), full
-// CPU-executor runs under memory pressure, and touch_run after each
-// residency transition (evict, writeback, tier, prefetch, injected disk
+// partial words, stale swap-slot frees, pages with I/O in flight, and zipf
+// runs over a CG-sized region, whose ranks touch_run draws from the zipf
+// table), full CPU-executor runs under memory pressure, and touch_run after
+// each residency transition (evict, writeback, tier, prefetch, injected disk
 // faults, release).
 
 #include <gtest/gtest.h>
@@ -316,7 +317,7 @@ TEST(TouchRunEquivalence, FuzzAgainstScalarLoop) {
     plan.seed = rng();
     plan.theta = (rng() & 1) != 0 ? 1.0 : 0.8;
     if (plan.pattern == TouchPattern::kZipf) {
-      plan.zipf_hn = zipf_harmonic(plan.region_pages, plan.theta);
+      plan.zipf = &zipf_table(plan.region_pages, plan.theta);
     }
     const auto begin = static_cast<std::int64_t>(rng() % 5000);
     const auto budget = static_cast<std::int64_t>(1 + rng() % 700);
@@ -481,6 +482,66 @@ TEST(TouchRunEquivalence, WordWalkEdgesAgainstScalarLoop) {
   t.expect_same_state();
 }
 
+TEST(TouchRunEquivalence, CgSizedZipfRunsAgainstScalarLoop) {
+  // CG.B's 4-node matrix region: 26,127 pages, whose zipf table has 2^18
+  // buckets, in a space that is resident but for about one page in a
+  // thousand. touch_run draws its ranks from the table, the scalar loop
+  // (through TouchPlan::page_at) from zipf_rank itself, so every run compares
+  // the table with its definition up to the first hole, over about a
+  // thousand draws on average. Between runs the twins fault the hole in, and
+  // now and then evict a hundred pages, whose slots later write runs free.
+  VmmParams params = small_params();
+  params.total_frames = 28000;
+  const std::int64_t kRegion = 26127;
+  const std::int64_t kPages = kRegion + 1000;
+  Twin t(kPages, params);
+  std::mt19937_64 rng(0xC6B);
+  const auto below = [&](std::int64_t n) {
+    return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(n));
+  };
+  for (VPage v = 0; v < kPages; ++v) {
+    if (below(1000) != 0) {
+      const bool write = below(2) != 0;
+      t.both([&](Stack& s, Pid pid) {
+        ASSERT_TRUE(s.sync_fault(pid, v, write));
+      });
+    }
+  }
+
+  std::int64_t consumed = 0;
+  for (int round = 0; round < 120; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    TouchPlan plan;
+    plan.pattern = TouchPattern::kZipf;
+    plan.region_pages = below(4) != 0 ? kRegion : 1 + below(kPages);
+    plan.region_start = below(kPages - plan.region_pages + 1);
+    plan.touches = 1 << 30;
+    plan.write = below(2) == 0;
+    plan.seed = rng();
+    plan.theta = below(2) == 0 ? 1.0 : 0.8;
+    plan.zipf = &zipf_table(plan.region_pages, plan.theta);
+    const std::int64_t begin = below(1 << 20);
+    const std::int64_t budget = 1000 + below(8000);
+    const Vmm::TouchRun run = t.check_run(plan, begin, budget);
+    if (::testing::Test::HasFatalFailure()) return;
+    consumed += run.consumed;
+
+    if (run.faulted && below(4) != 0) {
+      const bool write = below(2) == 0;
+      t.both([&](Stack& s, Pid pid) {
+        ASSERT_TRUE(s.sync_fault(pid, run.fault_page, write));
+      });
+    }
+    if (round % 20 == 10) {
+      t.both([](Stack& s, Pid) { s.force_free(s.vmm.free_frames() + 100); });
+      t.expect_same_state();
+    }
+  }
+  t.expect_same_state();
+  // The runs must reach deep into their budgets, not stop at a hole at once.
+  EXPECT_GT(consumed, 50'000);
+}
+
 // ---------------------------------------------------------------------------
 // Bulk vs scalar: whole CPU-executor runs
 
@@ -538,6 +599,35 @@ TEST(CpuBatchedVsScalar, HotColdUnderMemoryPressure) {
   options.seed = 77;
   run_program_pair(make_hot_cold_program(options),
                    make_hot_cold_program(options));
+}
+
+TEST(CpuBatchedVsScalar, ZipfUnderMemoryPressure) {
+  // Zipf chunks at theta 1.0 (writing) and 0.8 (reading) over a 400-page
+  // footprint on 128 frames, after a zero-fill sweep: the batched side draws
+  // ranks from the zipf table, the scalar side from zipf_rank through
+  // AccessChunk::page_at, with faults, evictions and swap-ins throughout.
+  const auto make = [] {
+    AccessChunk init;
+    init.pattern = AccessChunk::Pattern::kSequential;
+    init.region_pages = 400;
+    init.touches = 400;
+    init.write = true;
+    init.compute_per_touch = 10 * kMicrosecond;
+    std::vector<Op> cycle;
+    for (const double theta : {1.0, 0.8}) {
+      AccessChunk chunk;
+      chunk.pattern = AccessChunk::Pattern::kZipf;
+      chunk.region_pages = 400;
+      chunk.touches = 1500;
+      chunk.write = theta == 1.0;
+      chunk.compute_per_touch = 10 * kMicrosecond;
+      chunk.theta = theta;
+      cycle.push_back(Op::access_op(chunk));
+    }
+    return std::make_unique<IterativeProgram>(
+        std::vector<Op>{Op::access_op(init)}, std::move(cycle), 4, 31);
+  };
+  run_program_pair(make(), make());
 }
 
 TEST(CpuBatchedVsScalar, RandomUnderMemoryPressure) {
