@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <memory>
 
 namespace apsim {
@@ -20,71 +19,51 @@ void Disk::submit(DiskRequest req) {
   }
   auto& queue =
       req.priority == IoPriority::kForeground ? foreground_ : background_;
-  queue.push_back(std::move(req));
+  const std::pair key{req.start, next_seq_++};
+  queue.emplace(key, std::move(req));
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   if (!busy_) start_next();
 }
 
-std::size_t Disk::pick_clook(const std::deque<DiskRequest>& queue) const {
-  // C-LOOK: serve the closest request at or beyond the head; if none, wrap
-  // to the lowest-addressed request.
-  std::size_t best_forward = queue.size();
-  BlockNum best_forward_start = std::numeric_limits<BlockNum>::max();
-  std::size_t best_wrap = queue.size();
-  BlockNum best_wrap_start = std::numeric_limits<BlockNum>::max();
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const BlockNum s = queue[i].start;
-    if (s >= head_) {
-      if (s < best_forward_start) {
-        best_forward_start = s;
-        best_forward = i;
-      }
-    } else if (s < best_wrap_start) {
-      best_wrap_start = s;
-      best_wrap = i;
-    }
-  }
-  return best_forward != queue.size() ? best_forward : best_wrap;
-}
-
 void Disk::start_next() {
-  assert(!busy_);
+  assert(!busy_ && completions_.empty());
   auto* queue = &foreground_;
   if (queue->empty()) queue = &background_;
   if (queue->empty()) return;
 
-  const std::size_t idx = pick_clook(*queue);
-  assert(idx < queue->size());
-  DiskRequest first = std::move((*queue)[idx]);
-  queue->erase(queue->begin() + static_cast<std::ptrdiff_t>(idx));
+  // C-LOOK: serve the closest request at or beyond the head; if none, wrap
+  // to the lowest-addressed request. Same-start requests go in arrival
+  // order.
+  auto first = queue->lower_bound({head_, 0});
+  if (first == queue->end()) first = queue->begin();
+  const BlockNum start = first->first.first;
+  const bool write = first->second.write;
+  BlockNum nblocks = first->second.nblocks;
+  completions_.push_back(std::move(first->second.on_complete));
+  queue->erase(first);
 
   // Coalesce exactly-contiguous same-direction requests into one transfer
-  // (block-layer request merging). Completion callbacks fire together at the
-  // end of the merged transfer and share its outcome.
-  std::vector<IoCallback> completions;
-  completions.push_back(std::move(first.on_complete));
-  BlockNum start = first.start;
-  BlockNum nblocks = first.nblocks;
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    for (std::size_t i = 0; i < queue->size(); ++i) {
-      auto& candidate = (*queue)[i];
-      if (candidate.write == first.write &&
-          candidate.start == start + nblocks) {
-        nblocks += candidate.nblocks;
-        completions.push_back(std::move(candidate.on_complete));
-        queue->erase(queue->begin() + static_cast<std::ptrdiff_t>(i));
-        merged = true;
-        break;
-      }
+  // (block-layer request merging): each step takes the earliest-arrived
+  // request of the same direction that starts where the transfer ends.
+  // Completion callbacks fire together at the end of the merged transfer,
+  // in merge order, and share its outcome.
+  for (;;) {
+    const BlockNum end = start + nblocks;
+    auto next = queue->lower_bound({end, 0});
+    while (next != queue->end() && next->first.first == end &&
+           next->second.write != write) {
+      ++next;
     }
+    if (next == queue->end() || next->first.first != end) break;
+    nblocks += next->second.nblocks;
+    completions_.push_back(std::move(next->second.on_complete));
+    queue->erase(next);
   }
 
   SimDuration service = model_.service_time(head_, start, nblocks);
   bool inject_error = false;
   if (injector_ != nullptr) {
-    const auto outcome = injector_->on_disk_request(node_index_, first.write);
+    const auto outcome = injector_->on_disk_request(node_index_, write);
     inject_error = outcome.fail;
     if (outcome.slow_factor != 1.0) {
       service = static_cast<SimDuration>(static_cast<double>(service) *
@@ -94,7 +73,7 @@ void Disk::start_next() {
   busy_ = true;
   ++stats_.services;
   stats_.busy_time += service;
-  if (first.write) {
+  if (write) {
     stats_.blocks_written += static_cast<std::uint64_t>(nblocks);
   } else {
     stats_.blocks_read += static_cast<std::uint64_t>(nblocks);
@@ -108,14 +87,13 @@ void Disk::start_next() {
     tracer_->counter(trace_track_, "disk", "queue_depth",
                      static_cast<double>(queue_depth()));
     service_span = std::make_shared<TraceSpan>(tracer_->span(
-        trace_track_, "disk", first.write ? "service_write" : "service_read",
+        trace_track_, "disk", write ? "service_write" : "service_read",
         {{"blocks", static_cast<double>(nblocks)},
          {"start", static_cast<double>(start)},
          {"queued", static_cast<double>(queue_depth())}}));
   }
 
-  sim_.after(service, [this, start, nblocks, inject_error, service_span,
-                       completions = std::move(completions)]() mutable {
+  sim_.after(service, [this, start, nblocks, inject_error, service_span] {
     head_ = start + nblocks;
     busy_ = false;
     // End before running completions: one of them may submit and start the
@@ -123,10 +101,14 @@ void Disk::start_next() {
     if (service_span) service_span->end();
     // The device may have failed while the transfer was in flight.
     const IoResult result{!(inject_error || failed_)};
-    if (!result.ok) stats_.io_errors += completions.size();
-    for (auto& fn : completions) {
+    if (!result.ok) stats_.io_errors += completions_.size();
+    // A completion that submits starts the next service, which collects its
+    // own completions in completions_.
+    landing_.swap(completions_);
+    for (auto& fn : landing_) {
       if (fn) fn(result);
     }
+    landing_.clear();
     if (!busy_ && !failed_) start_next();  // a completion may have restarted the device
   });
 }
@@ -134,14 +116,21 @@ void Disk::start_next() {
 void Disk::fail_device() {
   if (failed_) return;
   failed_ = true;
-  // Drain both queues with error completions; anything in flight errors in
-  // its own completion event. New submits error immediately.
-  auto drain = [this](std::deque<DiskRequest>& queue) {
-    for (auto& req : queue) {
+  // Drain both queues with error completions in arrival order, foreground
+  // first; anything in flight errors in its own completion event. New
+  // submits error immediately.
+  auto drain = [this](Queue& queue) {
+    std::vector<Queue::iterator> by_arrival;
+    for (auto it = queue.begin(); it != queue.end(); ++it) {
+      by_arrival.push_back(it);
+    }
+    std::ranges::sort(by_arrival, {}, [](auto it) { return it->first.second; });
+    for (auto it : by_arrival) {
       ++stats_.io_errors;
-      if (req.on_complete) {
-        sim_.after(0,
-                   [fn = std::move(req.on_complete)] { fn(IoResult::error()); });
+      if (it->second.on_complete) {
+        sim_.after(0, [fn = std::move(it->second.on_complete)] {
+          fn(IoResult::error());
+        });
       }
     }
     queue.clear();

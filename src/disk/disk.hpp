@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "disk/disk_model.hpp"
@@ -16,7 +17,9 @@
 /// elevator, coalesces contiguous requests into single transfers, and
 /// services background-priority requests only when no foreground work is
 /// queued. The latter is how the paper's background dirty-page writer avoids
-/// competing with demand paging.
+/// competing with demand paging. Each priority class is indexed by (start
+/// block, arrival order), so picking and merging a request is a lookup, not
+/// a scan of the queue.
 
 namespace apsim {
 
@@ -99,15 +102,22 @@ class Disk {
   [[nodiscard]] double utilization() const;
 
  private:
+  /// Queued requests of one priority class keyed by (start block, arrival
+  /// seq): same-start requests sit in arrival order.
+  using Queue = std::map<std::pair<BlockNum, std::uint64_t>, DiskRequest>;
+
   void start_next();
-  /// Pick the next request index from \p queue using C-LOOK order relative
-  /// to the current head position. Returns queue.size() if empty.
-  [[nodiscard]] std::size_t pick_clook(const std::deque<DiskRequest>& queue) const;
 
   Simulator& sim_;
   DiskModel model_;
-  std::deque<DiskRequest> foreground_;
-  std::deque<DiskRequest> background_;
+  Queue foreground_;
+  Queue background_;
+  std::uint64_t next_seq_ = 0;
+  /// Completions of the service in flight, in merge order. Its landing swaps
+  /// them into landing_ before running them, because a completion may
+  /// submit and start the next service. Both buffers keep their capacity.
+  std::vector<IoCallback> completions_;
+  std::vector<IoCallback> landing_;
   BlockNum head_ = 0;
   bool busy_ = false;
   bool failed_ = false;

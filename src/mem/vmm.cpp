@@ -246,17 +246,28 @@ void Vmm::begin_ws_epoch(Pid pid) {
 
 Vmm::ImageSnapshot Vmm::snapshot_image(Pid pid) const {
   const auto& as = space(pid);
-  const auto& pt = as.page_table();
+  const PageTable::Meta& m = as.page_table().ro();
   ImageSnapshot snap;
   snap.dirty_pages = as.dirty_pages();
-  const std::int64_t npages = pt.num_pages();
-  for (VPage v = pt.next_live(0); v < npages; v = pt.next_live(v + 1)) {
-    ++snap.live_pages;
-    if (!snap.live.empty() &&
-        snap.live.back().start + snap.live.back().count == v) {
-      ++snap.live.back().count;
-    } else {
-      snap.live.push_back({v, 1});
+  // Walk the live mask (present | has_slot) a word at a time: each run of
+  // set bits is a run of live pages, and a run that starts where the last
+  // one ended (across a word boundary) extends it.
+  for (std::size_t w = 0; w < m.present.size(); ++w) {
+    std::uint64_t live = m.present[w] | m.has_slot[w];
+    snap.live_pages += std::popcount(live);
+    while (live != 0) {
+      const int lo = std::countr_zero(live);
+      const int len = std::countr_one(live >> lo);
+      const auto start = static_cast<VPage>((w << 6) + lo);
+      if (!snap.live.empty() &&
+          snap.live.back().start + snap.live.back().count == start) {
+        snap.live.back().count += len;
+      } else {
+        snap.live.push_back({start, len});
+      }
+      // Adding the run's lowest bit carries through the run, clearing it
+      // (a run that ends at bit 63 carries out of the word).
+      live &= live + (std::uint64_t{1} << lo);
     }
   }
   return snap;

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "fault/fault_injector.hpp"
 #include "mem/vmm.hpp"
@@ -413,6 +417,72 @@ TEST_F(VmmFixture, WatermarkKeepsMinimumFreePool) {
   populate(pid, 0, 400);  // far beyond physical memory
   EXPECT_GE(vmm.free_frames(), small_params().freepages_min);
   EXPECT_GT(vmm.space(pid).stats().pages_swapped_out, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint capture
+
+/// The page-at-a-time capture snapshot_image used before its word walk: one
+/// next_live call per live page, extending the last run when contiguous.
+std::pair<std::vector<PageRun>, std::int64_t> live_runs_by_page(
+    const PageTable& pt) {
+  std::vector<PageRun> runs;
+  std::int64_t live = 0;
+  for (VPage v = pt.next_live(0); v < pt.num_pages(); v = pt.next_live(v + 1)) {
+    ++live;
+    if (!runs.empty() && runs.back().start + runs.back().count == v) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({v, 1});
+    }
+  }
+  return {runs, live};
+}
+
+TEST_F(VmmFixture, SnapshotImageMatchesAPageLoopOnRandomBitmaps) {
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const std::int64_t npages : {1, 63, 64, 65, 4097}) {
+    const Pid pid = vmm.create_process(npages);
+    PageTable& pt = vmm.space(pid).page_table();
+    PageTable::Meta& m = pt.rw();
+    for (const double density : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+      for (int shape = 0; shape < 12; ++shape) {
+        SCOPED_TRACE(testing::Message() << npages << " pages, density "
+                                        << density << ", shape " << shape);
+        std::fill(m.present.begin(), m.present.end(), 0);
+        std::fill(m.has_slot.begin(), m.has_slot.end(), 0);
+        // A live page is resident, holds a swap copy, or both; bits past
+        // num_pages() stay zero, as the table guarantees.
+        auto set_live = [&](VPage v) {
+          const auto kind = rng() % 3;
+          if (kind != 1) m.present[page_word(v)] |= page_bit(v);
+          if (kind != 0) m.has_slot[page_word(v)] |= page_bit(v);
+        };
+        for (VPage v = 0; v < npages; ++v) {
+          if (unit(rng) < density) set_live(v);
+        }
+        if (shape % 2 == 1) {
+          set_live(0);
+          set_live(npages - 1);
+        }
+        if (shape % 3 == 2) {
+          // A run across every word boundary, and whole live words.
+          for (VPage b = 64; b < npages; b += 64) {
+            for (VPage v = b - 3; v < std::min(npages, b + 3); ++v) set_live(v);
+          }
+          for (VPage v = 128; v < std::min<VPage>(npages, 256); ++v) set_live(v);
+        }
+        const auto [runs, live] = live_runs_by_page(pt);
+        const Vmm::ImageSnapshot snap = vmm.snapshot_image(pid);
+        EXPECT_EQ(snap.live_pages, live);
+        EXPECT_EQ(snap.live, runs);
+        EXPECT_EQ(snap.dirty_pages, 0);
+      }
+    }
+    std::fill(m.present.begin(), m.present.end(), 0);
+    std::fill(m.has_slot.begin(), m.has_slot.end(), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
