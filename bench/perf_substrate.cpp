@@ -16,8 +16,10 @@
 // An end-to-end macro section times small fig7-style and fig8-style gang
 // runs with the batched touch engine against the scalar per-touch loop
 // (ExperimentConfig::scalar_touch) and records the worse of the two as
-// `endtoend_speedup`. The `zipf_rank` row times the touch engine's zipf
-// draws, hash plus ZipfTable::rank, against hash plus the direct zipf_rank.
+// `endtoend_speedup`. The `zipf_rank` row times zipf draws, hash plus
+// ZipfTable::rank, against hash plus the direct zipf_rank; the
+// `zipf_ranks_block` row times the touch engine's block draw
+// (ZipfTable::ranks) against one ZipfTable::rank per draw.
 //
 // `--smoke` shrinks the workloads for CI (seconds, not minutes);
 // `--min-speedup X` exits non-zero when the schedule/pop speedup vs the
@@ -379,6 +381,12 @@ Result page_scan_sweep(bool smoke, int reps) {
   return res;
 }
 
+/// CG.B's 4-node matrix region and its theta, which both zipf rows draw
+/// over, and the rows' seed.
+constexpr std::int64_t kZipfPages = 26127;
+constexpr double kZipfTheta = 1.0;
+constexpr std::uint64_t kZipfSeed = 0x2F1B;
+
 /// Zipf draws as the touch engine makes them, over CG.B's 4-node matrix
 /// region (n = 26,127, theta 1.0): hash plus ZipfTable::rank against hash
 /// plus the direct zipf_rank, alternating repetition by repetition. The
@@ -389,15 +397,12 @@ Result page_scan_sweep(bool smoke, int reps) {
 Result zipf_rank_draws(bool smoke, int reps) {
   Result res;
   res.name = "zipf_rank";
-  constexpr std::int64_t kPages = 26127;
-  constexpr double kTheta = 1.0;
-  constexpr std::uint64_t kSeed = 0x2F1B;
   const std::int64_t draws = smoke ? (1 << 20) : (1 << 23);
-  const ZipfTable& table = zipf_table(kPages, kTheta);
+  const ZipfTable& table = zipf_table(kZipfPages, kZipfTheta);
   const double hn = table.hn();
   for (std::int64_t i = 0; i < draws; ++i) {
-    const std::uint64_t h = touch_hash(kSeed, i);
-    if (table.rank(h) != zipf_rank(h, kPages, kTheta, hn)) {
+    const std::uint64_t h = touch_hash(kZipfSeed, i);
+    if (table.rank(h) != zipf_rank(h, kZipfPages, kZipfTheta, hn)) {
       std::fprintf(stderr, "FATAL: zipf_rank: the table and zipf_rank differ "
                            "at draw %lld\n", static_cast<long long>(i));
       std::exit(1);
@@ -408,14 +413,15 @@ Result zipf_rank_draws(bool smoke, int reps) {
       [&] {
         std::int64_t sum = 0;
         for (std::int64_t i = 0; i < draws; ++i) {
-          sum += table.rank(touch_hash(kSeed, i));
+          sum += table.rank(touch_hash(kZipfSeed, i));
         }
         g_dispatched += static_cast<std::uint64_t>(sum);
       },
       [&] {
         std::int64_t sum = 0;
         for (std::int64_t i = 0; i < draws; ++i) {
-          sum += zipf_rank(touch_hash(kSeed, i), kPages, kTheta, hn);
+          sum += zipf_rank(touch_hash(kZipfSeed, i), kZipfPages, kZipfTheta,
+                           hn);
         }
         g_dispatched += static_cast<std::uint64_t>(sum);
       });
@@ -423,6 +429,55 @@ Result zipf_rank_draws(bool smoke, int reps) {
   res.extra = static_cast<double>(table.mixed_buckets()) /
               static_cast<double>(std::int64_t{1} << table.bits());
   res.extra_name = "mixed_bucket_share";
+  return res;
+}
+
+/// The touch engine's zipf draws over CG.B's 4-node matrix region (n =
+/// 26,127, theta 1.0), a block at a time through ZipfTable::ranks, against
+/// hash plus one ZipfTable::rank per draw, alternating repetition by
+/// repetition. Both sum the ranks, as the engine touches each. Aborts if any
+/// rank differs; `mixed_draw_share` is the share of draws the block form
+/// resolved through zipf_rank.
+Result zipf_ranks_block(bool smoke, int reps) {
+  Result res;
+  res.name = "zipf_ranks_block";
+  constexpr auto kBlock = static_cast<std::int64_t>(ZipfTable::kBlock);
+  const std::int64_t draws = smoke ? (1 << 20) : (1 << 23);
+  const ZipfTable& table = zipf_table(kZipfPages, kZipfTheta);
+  std::vector<std::uint32_t> block(ZipfTable::kBlock);
+  std::int64_t resolved = 0;
+  for (std::int64_t i = 0; i < draws; i += kBlock) {
+    resolved += table.ranks(kZipfSeed, i, block);
+    for (std::int64_t k = 0; k < kBlock; ++k) {
+      if (block[static_cast<std::size_t>(k)] !=
+          table.rank(touch_hash(kZipfSeed, i + k))) {
+        std::fprintf(stderr, "FATAL: zipf_ranks_block: the block draw and "
+                             "ZipfTable::rank differ at draw %lld\n",
+                     static_cast<long long>(i + k));
+        std::exit(1);
+      }
+    }
+  }
+  std::tie(res.new_ms, res.legacy_ms) = interleaved_median_ms(
+      reps,
+      [&] {
+        std::int64_t sum = 0;
+        for (std::int64_t i = 0; i < draws; i += kBlock) {
+          (void)table.ranks(kZipfSeed, i, block);
+          for (const std::uint32_t r : block) sum += r;
+        }
+        g_dispatched += static_cast<std::uint64_t>(sum);
+      },
+      [&] {
+        std::int64_t sum = 0;
+        for (std::int64_t i = 0; i < draws; ++i) {
+          sum += table.rank(touch_hash(kZipfSeed, i));
+        }
+        g_dispatched += static_cast<std::uint64_t>(sum);
+      });
+  res.items = draws;
+  res.extra = static_cast<double>(resolved) / static_cast<double>(draws);
+  res.extra_name = "mixed_draw_share";
   return res;
 }
 
@@ -638,7 +693,7 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 3 : 7;
   // The schedule/pop rows feed the --min-speedup gate, and one run takes a
   // few ms: enough repetitions keep one host hiccup from moving the ratio.
-  // The zipf_rank row's runs are as short, so it takes as many.
+  // The zipf rows' runs are as short, so they take as many.
   const int queue_reps = std::max(reps, 31);
   std::vector<Result> results;
 
@@ -674,6 +729,7 @@ int main(int argc, char** argv) {
 
   results.push_back(page_scan_sweep(smoke, reps));
   results.push_back(zipf_rank_draws(smoke, queue_reps));
+  results.push_back(zipf_ranks_block(smoke, queue_reps));
   results.push_back(
       fault_storm(smoke ? 2048 : 8192, smoke ? 2 : 4, smoke ? 2 : 3));
   results.push_back(fig7_small(smoke ? 0.25 : 0.5, smoke ? 1 : 3, scalar));

@@ -689,8 +689,15 @@ void GangScheduler::release_staged(const Staging& st) {
 }
 
 bool GangScheduler::all_finished() const {
-  return std::all_of(jobs_.begin(), jobs_.end(),
-                     [](const auto& job) { return job->done(); });
+  // A done job stays done: failure is sticky, and a finished process is
+  // dead, so kill_process and restores skip it. The jobs before the cursor
+  // therefore need no second look; arrivals append behind it.
+  while (first_open_ < jobs_.size() && jobs_[first_open_]->done()) {
+    ++first_open_;
+  }
+  assert(std::all_of(jobs_.begin(), jobs_.begin() + first_open_,
+                     [](const auto& job) { return job->done(); }));
+  return first_open_ == jobs_.size();
 }
 
 SimTime GangScheduler::makespan() const {
@@ -737,8 +744,14 @@ void BatchRunner::on_job_finished(std::size_t index) {
 }
 
 bool BatchRunner::all_finished() const {
-  return std::all_of(jobs_.begin(), jobs_.end(),
-                     [](const auto& job) { return job->finished(); });
+  // A finished job stays finished (nothing revives a batch process), so the
+  // jobs before the cursor need no second look.
+  while (first_open_ < jobs_.size() && jobs_[first_open_]->finished()) {
+    ++first_open_;
+  }
+  assert(std::all_of(jobs_.begin(), jobs_.begin() + first_open_,
+                     [](const auto& job) { return job->finished(); }));
+  return first_open_ == jobs_.size();
 }
 
 SimTime BatchRunner::makespan() const {

@@ -339,6 +339,8 @@ class GangScheduler : private SchedContext {
   bool started_ = false;
   int switch_count_ = 0;
   SimTime last_finish_ = -1;
+  /// all_finished()'s cursor: every job before it is done.
+  mutable std::size_t first_open_ = 0;
 
   // Failure handling. Each activate_slot() starts a new switch generation;
   // per node we remember the generation last applied and the pending switch
@@ -383,6 +385,8 @@ class BatchRunner {
   std::size_t running_ = 0;
   bool started_ = false;
   SimTime last_finish_ = -1;
+  /// all_finished()'s cursor: every job before it is finished.
+  mutable std::size_t first_open_ = 0;
 };
 
 }  // namespace apsim

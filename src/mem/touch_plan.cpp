@@ -1,6 +1,7 @@
 #include "mem/touch_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
 #include <memory>
@@ -39,6 +40,46 @@ ZipfTable::ZipfTable(std::int64_t n, double theta)
     mixed_ += pure ? 0 : 1;
     lo = hi;
   }
+}
+
+std::int64_t ZipfTable::ranks(std::uint64_t seed, std::int64_t first,
+                              std::span<std::uint32_t> out) const {
+  assert(first >= 0 && out.size() <= static_cast<std::uint64_t>(
+                                         INT64_MAX - first) + 1);
+  // Locals, so the stores to `out` (which may alias an int) cannot force
+  // reloads of the table's members.
+  const std::uint32_t* const guide = guide_.data();
+  const int shift = shift_;
+  std::int64_t resolved = 0;
+  static_assert(kBlock <= std::size_t{1} << 16);
+  // Block offsets of the mixed draws. Not zeroed: pass 2 reads only the m
+  // entries pass 1 wrote.
+  std::array<std::uint16_t, kBlock> mixed;
+  for (std::size_t at = 0; at < out.size(); at += kBlock) {
+    const std::span<std::uint32_t> block =
+        out.subspan(at, std::min(kBlock, out.size() - at));
+    const std::int64_t i0 = first + static_cast<std::int64_t>(at);
+    // Pass 1: one guide load per draw. Every offset is written to the next
+    // free entry of `mixed`, which keeps it only when the draw was mixed, so
+    // the loop has no branch on the table.
+    std::size_t m = 0;
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      const std::uint32_t r =
+          guide[touch_hash(seed, i0 + static_cast<std::int64_t>(k)) >> shift];
+      block[k] = r;
+      mixed[m] = static_cast<std::uint16_t>(k);
+      m += r == kMixed ? 1 : 0;
+    }
+    // Pass 2: the exact rank of each mixed draw.
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t k = mixed[j];
+      block[k] = static_cast<std::uint32_t>(zipf_rank(
+          touch_hash(seed, i0 + static_cast<std::int64_t>(k)), n_, theta_,
+          hn_));
+    }
+    resolved += static_cast<std::int64_t>(m);
+  }
+  return resolved;
 }
 
 const ZipfTable& zipf_table(std::int64_t n, double theta) {

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mem/page.hpp"
@@ -13,17 +14,19 @@
 /// touch engine (Vmm::touch_run). A TouchPlan carries the chunk's addressing
 /// parameters plus what is loop-invariant across its touches: for a zipf
 /// chunk, a guide table (ZipfTable) that maps most draws to their rank with
-/// one load, so the engine's per-touch loop calls no `exp`/`pow` except on
-/// the few draws that land near a rank boundary. The proc layer builds plans
-/// from AccessChunks (AccessChunk::prepare()); keeping the type here lets
-/// src/mem consume it without depending on the process layer.
+/// one load. The engine draws a block of ranks at a time (ZipfTable::ranks):
+/// one pass loads every draw's guide entry, a second calls `exp`/`pow` only
+/// for the few draws that land near a rank boundary, so the touch loop never
+/// branches into them. The proc layer builds plans from AccessChunks
+/// (AccessChunk::prepare()); keeping the type here lets src/mem consume it
+/// without depending on the process layer.
 ///
 /// Determinism contract: for the same parameters, TouchPlan::page_at and
 /// AccessChunk::page_at return bit-identical pages for every index — both
 /// are implemented on the shared helpers below, and the golden-value test in
 /// tests/test_touch_engine.cpp pins the outputs for all four patterns.
-/// ZipfTable::rank equals zipf_rank for every draw (tests/test_zipf_table.cpp
-/// checks it around every rank boundary).
+/// ZipfTable::rank and ZipfTable::ranks equal zipf_rank for every draw
+/// (tests/test_zipf_table.cpp checks them around every rank boundary).
 
 namespace apsim {
 
@@ -105,9 +108,27 @@ class ZipfTable {
  public:
   ZipfTable(std::int64_t n, double theta);
 
+  /// Draws per block of ranks(). At least CG's 100-touch slice budget, so
+  /// one block covers a slice; the touch engine sizes its buffer by it.
+  static constexpr std::size_t kBlock = 256;
+
   [[nodiscard]] std::int64_t rank(std::uint64_t h) const {
     const std::uint32_t r = guide_[h >> shift_];
     return r != kMixed ? r : zipf_rank(h, n_, theta_, hn_);
+  }
+
+  /// out[k] = rank(touch_hash(seed, first + k)) for every k < out.size(),
+  /// kBlock draws at a time in two passes: the first stores each draw's
+  /// guide entry and collects the draws that hit a mixed bucket, the second
+  /// calls zipf_rank for those draws only. Requires first >= 0 and
+  /// first + out.size() - 1 to fit an int64 (a chunk's touch indices do).
+  /// Returns how many draws took the second pass, one zipf_rank call each.
+  std::int64_t ranks(std::uint64_t seed, std::int64_t first,
+                     std::span<std::uint32_t> out) const;
+
+  /// Whether draw \p h falls in a mixed bucket (rank() calls zipf_rank).
+  [[nodiscard]] bool mixed(std::uint64_t h) const {
+    return guide_[h >> shift_] == kMixed;
   }
 
   [[nodiscard]] std::int64_t n() const { return n_; }

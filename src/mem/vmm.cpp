@@ -1,6 +1,7 @@
 #include "mem/vmm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <numeric>
@@ -173,8 +174,8 @@ Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
     return absent < 0;
   };
 
-  // Page form: touch up to `count` pages drawn from next_page(), in order,
-  // stopping at the first absent one.
+  // Page form: touch pages drawn from next_page(), in order, until
+  // `applied` reaches `count` or a page is absent.
   const auto touch_pages = [&](std::int64_t count, auto next_page) {
     const SimTime now = sim_.now();
     while (true) {
@@ -220,10 +221,18 @@ Vmm::TouchRun Vmm::touch_run(AddressSpace& as, const TouchPlan& plan,
   } else if (plan.pattern == TouchPattern::kZipf) {
     assert(plan.zipf != nullptr && plan.zipf->n() == rp &&
            plan.zipf->theta() == plan.theta);
-    const ZipfTable& zipf = *plan.zipf;
-    std::int64_t i = begin;
-    touch_pages(budget,
-                [&] { return base + zipf.rank(touch_hash(plan.seed, i++)); });
+    // Draw a block of ranks, then touch its pages in order. A draw changes
+    // no state, so the ranks drawn past an absent page are simply dropped.
+    // Not zeroed: each pass reads only the n entries ranks() just wrote.
+    std::array<std::uint32_t, ZipfTable::kBlock> ranks;
+    while (absent < 0 && applied < budget) {
+      const auto n = static_cast<std::size_t>(std::min<std::int64_t>(
+          budget - applied, ZipfTable::kBlock));
+      plan.zipf->ranks(plan.seed, begin + applied, {ranks.data(), n});
+      const std::uint32_t* rank = ranks.data();
+      touch_pages(applied + static_cast<std::int64_t>(n),
+                  [&] { return base + *rank++; });
+    }
   } else {
     std::int64_t i = begin;
     touch_pages(budget, [&] { return plan.page_at(i++); });

@@ -4,7 +4,8 @@
 // equivalence: direct Vmm::touch_run fuzzing (including the word walk's
 // partial words, stale swap-slot frees, pages with I/O in flight, and zipf
 // runs over a CG-sized region, whose ranks touch_run draws from the zipf
-// table), full CPU-executor runs under memory pressure, and touch_run after
+// table a block at a time, with first holes and budgets at block edges),
+// full CPU-executor runs under memory pressure, and touch_run after
 // each residency transition (evict, writeback, tier, prefetch, injected disk
 // faults, release).
 
@@ -540,6 +541,82 @@ TEST(TouchRunEquivalence, CgSizedZipfRunsAgainstScalarLoop) {
   t.expect_same_state();
   // The runs must reach deep into their budgets, not stop at a hole at once.
   EXPECT_GT(consumed, 50'000);
+}
+
+TEST(TouchRunEquivalence, ZipfBlockEdgesAgainstScalarLoop) {
+  // touch_run draws zipf ranks ZipfTable::kBlock (B) at a time and drops
+  // those drawn past the first absent page. A 2,000-page region is resident
+  // but for 40 holes at ranks 500-539, about one draw in a hundred. For each
+  // theta and direction, runs start where the first hole is draw 0, B - 1, B
+  // or B + 1, with budgets of 1, B - 1, B, B + 1 and 3B. Before each write
+  // series the twins evict pages and read them back clean, keeping their
+  // swap slots, so the write runs free slots in draw order.
+  constexpr auto kB = static_cast<std::int64_t>(ZipfTable::kBlock);
+  constexpr std::int64_t kRegion = 2000;
+  const auto is_hole = [](VPage v) { return v >= 500 && v < 540; };
+  VmmParams params = small_params();
+  params.total_frames = 4096;
+  Twin t(kRegion, params);
+  const auto fill = [&](bool write) {
+    for (VPage v = 0; v < kRegion; ++v) {
+      if (is_hole(v) || t.a.vmm.space(t.pid_a).page_table().at(v).present()) {
+        continue;
+      }
+      t.both([&](Stack& s, Pid pid) {
+        ASSERT_TRUE(s.sync_fault(pid, v, write));
+      });
+    }
+  };
+  fill(true);
+
+  // The first begin whose run meets its first absent page at draw d.
+  const auto begin_with_first_hole_at = [&](const TouchPlan& plan,
+                                            std::int64_t d) {
+    const PageTable& pt = t.a.vmm.space(t.pid_a).page_table();
+    for (std::int64_t begin = 0; begin < (1 << 20); ++begin) {
+      std::int64_t k = 0;
+      while (k <= d && pt.at(plan.page_at(begin + k)).present()) ++k;
+      if (k == d) return begin;
+    }
+    return std::int64_t{-1};
+  };
+
+  std::size_t write_frees = 0;
+  for (const double theta : {0.8, 1.0}) {
+    for (const bool write : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "theta " << theta << " write "
+                                      << write);
+      if (write) {
+        t.both([](Stack& s, Pid) { s.force_free(s.vmm.free_frames() + 300); });
+        fill(false);
+      }
+      TouchPlan plan;
+      plan.pattern = TouchPattern::kZipf;
+      plan.region_pages = kRegion;
+      plan.touches = 1 << 30;
+      plan.write = write;
+      plan.seed = 0xB10C;
+      plan.theta = theta;
+      plan.zipf = &zipf_table(kRegion, theta);
+      const std::size_t freed_before = t.a.freed.size();
+      for (const std::int64_t d : {std::int64_t{0}, kB - 1, kB, kB + 1}) {
+        const std::int64_t begin = begin_with_first_hole_at(plan, d);
+        ASSERT_GE(begin, 0) << "no run meets its first hole at draw " << d;
+        for (const std::int64_t budget :
+             {std::int64_t{1}, kB - 1, kB, kB + 1, 3 * kB}) {
+          SCOPED_TRACE(testing::Message() << "first hole at draw " << d
+                                          << " budget " << budget);
+          const Vmm::TouchRun run = t.check_run(plan, begin, budget);
+          if (::testing::Test::HasFatalFailure()) return;
+          EXPECT_EQ(run.consumed, std::min(budget, d));
+          EXPECT_EQ(run.faulted, budget > d);
+        }
+      }
+      if (write) write_frees += t.a.freed.size() - freed_before;
+    }
+  }
+  t.expect_same_state();
+  EXPECT_GT(write_frees, 0u);
 }
 
 // ---------------------------------------------------------------------------

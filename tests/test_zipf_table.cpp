@@ -4,7 +4,9 @@
 // theta takes pow, with a negative exponent above 1), single-rank and tiny
 // regions, and CG.B's 4-node region (26,127 pages). Each case is checked
 // around every rank boundary, at both ends of every bucket and on a seeded
-// fuzz; the memo is checked for one table per key under concurrent callers.
+// fuzz; the block draw (ZipfTable::ranks) is checked against rank() and
+// zipf_rank at block edges and at the top of the touch-index range; the memo
+// is checked for one table per key under concurrent callers.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <latch>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,6 +110,51 @@ TEST(ZipfTable, MatchesZipfRankOnSeededDraws) {
       ASSERT_EQ(table.rank(h), oracle(table, h)) << "draw " << h;
     }
   }
+}
+
+TEST(ZipfTable, BlockDrawMatchesRankAndZipfRank) {
+  // Counts around one and several blocks, first indices that put a block
+  // edge anywhere in the draws, and runs that end at the largest touch index
+  // (INT64_MAX). Each block must call zipf_rank once per draw that falls in
+  // a mixed bucket: ranks() returns how many it resolved.
+  constexpr auto kB = static_cast<std::int64_t>(ZipfTable::kBlock);
+  constexpr std::int64_t kCounts[] = {0, 1, kB - 1, kB, kB + 1, 5 * kB + 17};
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::uint32_t> out;
+  for (const ZipfCase& c : kCases) {
+    SCOPED_TRACE(describe(c));
+    const ZipfTable& table = zipf_table(c.n, c.theta);
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{0x9C0FFEE5}}) {
+      for (const std::int64_t count : kCounts) {
+        const std::int64_t top = kMax - std::max<std::int64_t>(count, 1) + 1;
+        for (const std::int64_t first :
+             {std::int64_t{0}, kB - 1, 3 * kB + 1, std::int64_t{1} << 40,
+              top - kB - 1, top}) {
+          SCOPED_TRACE(testing::Message() << "seed " << seed << " count "
+                                          << count << " first " << first);
+          out.assign(static_cast<std::size_t>(count), 0xDEADBEEFu);
+          const std::int64_t resolved = table.ranks(seed, first, out);
+          std::int64_t mixed = 0;
+          for (std::int64_t k = 0; k < count; ++k) {
+            const std::uint64_t h = touch_hash(seed, first + k);
+            const std::int64_t got = out[static_cast<std::size_t>(k)];
+            ASSERT_EQ(got, table.rank(h)) << "draw " << k;
+            ASSERT_EQ(got, oracle(table, h)) << "draw " << k;
+            mixed += table.mixed(h) ? 1 : 0;
+          }
+          EXPECT_EQ(resolved, mixed);
+        }
+      }
+    }
+  }
+  // CG.B's table sends about one draw in ten to zipf_rank, so the count
+  // above is not vacuous there.
+  const ZipfTable& cg = zipf_table(26127, 1.0);
+  out.assign(ZipfTable::kBlock * 40, 0);
+  const std::int64_t resolved = cg.ranks(7, 0, out);
+  EXPECT_GT(resolved, static_cast<std::int64_t>(out.size()) / 20);
+  EXPECT_LT(resolved, static_cast<std::int64_t>(out.size()) / 5);
 }
 
 TEST(ZipfTable, SizeFollowsTheRegionAndMostBucketsArePure) {
